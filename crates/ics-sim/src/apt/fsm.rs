@@ -562,7 +562,7 @@ mod tests {
     use super::*;
     use crate::apt::knowledge::AptKnowledge;
     use crate::state::NetworkState;
-    use ics_net::{Topology, TopologySpec};
+    use ics_net::{PlcId, Topology, TopologySpec};
     use rand::SeedableRng;
 
     struct Fixture {
@@ -772,6 +772,43 @@ mod tests {
             FsmAptPolicy::derive_phase(&f.ctx(&[])),
             AptPhase::PlcDiscovery
         );
+    }
+
+    #[test]
+    fn plc_actions_do_not_depend_on_discovery_order() {
+        // Two attackers that discovered the same PLCs in opposite orders
+        // must emit the same firmware and execute actions, in ascending PLC
+        // order, whatever the set's hashing or insertion history.
+        let build = |objective: AttackObjective, reverse: bool| {
+            let mut f = Fixture::new();
+            f.params = AptParams::apt1(objective, AttackVector::Opc);
+            let opc = f.topo.server(ServerRole::Opc).unwrap().id;
+            f.compromise(opc, true);
+            let mut plcs: Vec<PlcId> = f.topo.plc_ids().collect();
+            if reverse {
+                plcs.reverse();
+            }
+            for plc in plcs {
+                f.knowledge.record_plc(plc);
+            }
+            f
+        };
+        let actions = |f: &Fixture, phase: AptPhase| {
+            let mut rng = StdRng::seed_from_u64(7);
+            FsmAptPolicy::new().phase_actions(phase, &f.ctx(&[]), &mut rng)
+        };
+        for (phase, objective) in [
+            (AptPhase::FirmwareCompromise, AttackObjective::Destroy),
+            (AptPhase::Execute, AttackObjective::Disrupt),
+        ] {
+            let ascending = actions(&build(objective, false), phase);
+            let descending = actions(&build(objective, true), phase);
+            assert_eq!(ascending, descending, "{phase:?}");
+            let targets: Vec<AptTarget> = ascending.iter().map(|a| a.target).collect();
+            let every_plc: Vec<AptTarget> =
+                Fixture::new().topo.plc_ids().map(AptTarget::Plc).collect();
+            assert_eq!(targets, every_plc, "{phase:?}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use ics_net::{NodeId, PlcId, ServerRole, VlanId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// The attacker's accumulated knowledge during an episode.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -20,8 +20,10 @@ pub struct AptKnowledge {
     pub discovered_vlans: HashSet<VlanId>,
     /// Servers the APT has located, by role.
     pub located_servers: HashMap<ServerRole, NodeId>,
-    /// PLCs discovered during PLC discovery.
-    pub discovered_plcs: HashSet<PlcId>,
+    /// PLCs discovered during PLC discovery. Ordered, because the attacker
+    /// iterates it to emit firmware and execute actions: a hashed set would
+    /// emit them in a per-instance random order and break episode replay.
+    pub discovered_plcs: BTreeSet<PlcId>,
     /// Whether analysis of the data historian has started.
     pub historian_analysis_started: bool,
     /// Whether analysis of the data historian has completed.

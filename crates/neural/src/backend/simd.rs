@@ -5,7 +5,8 @@
 //! vectorized activation maps, a polynomial-`exp` row softmax, and fused
 //! per-block attention kernels that run each batch item's
 //! score/softmax/mix stage directly on the stacked `[b*n, n]` block-diagonal
-//! layout — no gather copies, one fused pass per score row.
+//! layout — no gather copies. The forward runs one fused pass per block of
+//! four query rows, so each key and value row is loaded once per block.
 //!
 //! Dispatch is at runtime: AVX2+FMA support is checked with
 //! `is_x86_feature_detected!` on every entry (the detection result is cached
@@ -316,11 +317,11 @@ impl KernelBackend for SimdBackend {
             if let Some(attn) = attn.as_deref() {
                 assert_eq!(attn.shape(), (items * n, n), "attention stacked-A shape");
             }
-            // One fused pass per score row, directly on the stacked
-            // block-diagonal layout — no per-item gather copies. The score
-            // row lands in the stacked attention cache when the caller wants
-            // it, otherwise in this one reused row buffer.
-            let mut score = scratch.take(1, n);
+            // One fused pass per block of query rows, directly on the
+            // stacked block-diagonal layout — no per-item gather copies. A
+            // block's score rows land in the stacked attention cache when
+            // the caller wants it, otherwise in this reused block buffer.
+            let mut score = scratch.take(avx::QUERY_BLOCK, n);
             for item in 0..items {
                 let r = item * n;
                 let qb = &q.data()[r * d..(r + n) * d];
@@ -330,6 +331,11 @@ impl KernelBackend for SimdBackend {
                 let ab = attn
                     .as_deref_mut()
                     .map(|a| &mut a.data_mut()[r * n..(r + n) * n]);
+                // SAFETY: AVX2+FMA were detected above. `attention_item_rows`
+                // and the `mixed`/`attn` shape asserts make every slice here
+                // exactly `n * d` (or `n * n` for the cache) long, and
+                // `score` holds `QUERY_BLOCK * n`, so every block the kernel
+                // addresses lies inside the slice it was given.
                 unsafe {
                     avx::attention_forward_item(qb, kb, vb, n, d, scale, ab, mb, score.data_mut());
                 }
@@ -877,12 +883,27 @@ mod avx {
         }
     }
 
-    /// The row-fused attention forward for one batch item: for each query
-    /// row, compute the scaled score row (`n` FMA dots), softmax it in
-    /// place, then accumulate the mixed row as a broadcast-FMA combination
-    /// of the value rows — the scores never leave cache between the three
-    /// stages. Scores land in `attn_rows` (the stacked training cache) when
-    /// present, otherwise in the reused `score_buf`.
+    /// Query rows per block of the attention forward. Each key and value
+    /// row is loaded once per block instead of once per query row, and the
+    /// block's `[QUERY_BLOCK, n]` score rows (16 KB at n = 1003) stay in L1
+    /// between the score, softmax and mix stages.
+    pub const QUERY_BLOCK: usize = 4;
+
+    /// The query-blocked attention forward for one batch item. Per block of
+    /// [`QUERY_BLOCK`] query rows: fill the block's scaled score rows (one
+    /// pass over `K`), softmax each row in place, then mix them with
+    /// [`gemm`]'s 4-row micro-kernel (one pass over `V`). A tail of
+    /// `n % QUERY_BLOCK` rows runs one row at a time. Every score keeps
+    /// [`dot`]'s arithmetic and every mixed element the ascending-key FMA
+    /// chain, so a row's output does not depend on the block it lands in.
+    /// Scores land in `attn_rows` (the stacked training cache) when present,
+    /// otherwise in `score_buf`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available. `q`, `k`, `v` and `mixed` must hold
+    /// at least `n * d` values, `attn_rows` (when present) `n * n`, and
+    /// `score_buf` `QUERY_BLOCK.min(n) * n`.
     pub unsafe fn attention_forward_item(
         q: &[f32],
         k: &[f32],
@@ -895,80 +916,109 @@ mod avx {
         score_buf: &mut [f32],
     ) {
         debug_assert!(q.len() >= n * d && k.len() >= n * d && v.len() >= n * d);
-        debug_assert!(mixed.len() >= n * d && score_buf.len() >= n);
-        for i in 0..n {
+        debug_assert!(mixed.len() >= n * d && score_buf.len() >= QUERY_BLOCK.min(n) * n);
+        debug_assert!(attn_rows.as_deref().is_none_or(|a| a.len() >= n * n));
+        let mut i0 = 0;
+        while i0 < n {
+            let rows = QUERY_BLOCK.min(n - i0);
             let s: *mut f32 = match attn_rows.as_deref_mut() {
-                Some(rows) => rows.as_mut_ptr().add(i * n),
+                Some(a) => a.as_mut_ptr().add(i0 * n),
                 None => score_buf.as_mut_ptr(),
             };
-            attention_forward_row(
-                q.as_ptr().add(i * d),
+            attention_forward_block(
+                q.as_ptr().add(i0 * d),
                 k.as_ptr(),
                 v.as_ptr(),
+                rows,
                 n,
                 d,
                 scale,
                 s,
-                mixed.as_mut_ptr().add(i * d),
+                mixed.as_mut_ptr().add(i0 * d),
             );
+            i0 += rows;
         }
     }
 
+    /// One block of `rows ≤ QUERY_BLOCK` query rows: scores into the
+    /// `[rows, n]` rows at `s`, softmax, then `mixed = s · V`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available. `q`, `s` and `mixed` must address
+    /// `rows * d`, `rows * n` and `rows * d` values, and `k` and `v` `n * d`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn attention_forward_row(
-        q_row: *const f32,
+    unsafe fn attention_forward_block(
+        q: *const f32,
         k: *const f32,
         v: *const f32,
+        rows: usize,
         n: usize,
         d: usize,
         scale: f32,
         s: *mut f32,
-        mixed_row: *mut f32,
+        mixed: *mut f32,
+    ) {
+        if rows == QUERY_BLOCK {
+            score_rows::<QUERY_BLOCK>(q, k, n, d, scale, s);
+        } else {
+            for r in 0..rows {
+                score_rows::<1>(q.add(r * d), k, n, d, scale, s.add(r * n));
+            }
+        }
+        for r in 0..rows {
+            softmax_row(s.add(r * n), n);
+        }
+        gemm_inner(s, v, mixed, rows, n, d, false);
+    }
+
+    /// `s[r][j] = dot(q_r, k_j) * scale` for `R` query rows at once, loading
+    /// each key row once. Per score this is [`dot`] step for step: two
+    /// 8-lane accumulators over 16-column steps, one 8-column step, the same
+    /// [`hsum`], a scalar tail, then the scale.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available. `q` must address `R * d` values, `k`
+    /// `n * d` and `s` `R * n`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn score_rows<const R: usize>(
+        q: *const f32,
+        k: *const f32,
+        n: usize,
+        d: usize,
+        scale: f32,
+        s: *mut f32,
     ) {
         for j in 0..n {
-            *s.add(j) = dot(q_row, k.add(j * d), d) * scale;
-        }
-        softmax_row(s, n);
-        // mixed_row = Σ_j s[j] · V[j], accumulated 32 columns at a time.
-        let mut c0 = 0;
-        while c0 + 32 <= d {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut a2 = _mm256_setzero_ps();
-            let mut a3 = _mm256_setzero_ps();
-            for j in 0..n {
-                let sv = _mm256_set1_ps(*s.add(j));
-                let vr = v.add(j * d + c0);
-                a0 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(vr), a0);
-                a1 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(vr.add(8)), a1);
-                a2 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(vr.add(16)), a2);
-                a3 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(vr.add(24)), a3);
+            let k_row = k.add(j * d);
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
+            let mut c = 0;
+            while c + 16 <= d {
+                let k0 = _mm256_loadu_ps(k_row.add(c));
+                let k1 = _mm256_loadu_ps(k_row.add(c + 8));
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    let q_at = q.add(r * d + c);
+                    acc_row[0] = _mm256_fmadd_ps(_mm256_loadu_ps(q_at), k0, acc_row[0]);
+                    acc_row[1] = _mm256_fmadd_ps(_mm256_loadu_ps(q_at.add(8)), k1, acc_row[1]);
+                }
+                c += 16;
             }
-            _mm256_storeu_ps(mixed_row.add(c0), a0);
-            _mm256_storeu_ps(mixed_row.add(c0 + 8), a1);
-            _mm256_storeu_ps(mixed_row.add(c0 + 16), a2);
-            _mm256_storeu_ps(mixed_row.add(c0 + 24), a3);
-            c0 += 32;
-        }
-        while c0 + 8 <= d {
-            let mut a0 = _mm256_setzero_ps();
-            for j in 0..n {
-                a0 = _mm256_fmadd_ps(
-                    _mm256_set1_ps(*s.add(j)),
-                    _mm256_loadu_ps(v.add(j * d + c0)),
-                    a0,
-                );
+            if c + 8 <= d {
+                let k0 = _mm256_loadu_ps(k_row.add(c));
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    acc_row[0] = _mm256_fmadd_ps(_mm256_loadu_ps(q.add(r * d + c)), k0, acc_row[0]);
+                }
+                c += 8;
             }
-            _mm256_storeu_ps(mixed_row.add(c0), a0);
-            c0 += 8;
-        }
-        while c0 < d {
-            let mut acc = 0.0f32;
-            for j in 0..n {
-                acc += *s.add(j) * *v.add(j * d + c0);
+            for (r, acc_row) in acc.iter().enumerate() {
+                let q_row = q.add(r * d);
+                let mut total = hsum(_mm256_add_ps(acc_row[0], acc_row[1]));
+                for t in c..d {
+                    total += *q_row.add(t) * *k_row.add(t);
+                }
+                *s.add(r * n + j) = total * scale;
             }
-            *mixed_row.add(c0) = acc;
-            c0 += 1;
         }
     }
 
@@ -1085,6 +1135,70 @@ mod tests {
             for i in 0..3 {
                 let sum: f32 = s.row(i).iter().sum();
                 assert!((sum - 1.0).abs() < 1e-5);
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn attention_row_output_does_not_depend_on_its_query_block() {
+        // The forward scores query rows in blocks of four and runs the
+        // `n % 4` tail rows one at a time. A query row repeated in the tail
+        // must score and mix exactly as it does inside a full block.
+        let simd = SimdBackend::new();
+        if !simd.avx2_active() {
+            return;
+        }
+        for n in [5usize, 6, 7, 9, 11, 13] {
+            for d in [8usize, 16, 37, 64] {
+                let tail_start = n - n % avx::QUERY_BLOCK;
+                let mut q = filled(n, d, (n * 100 + d) as u64);
+                for row in tail_start..n {
+                    let src = q.row(row - tail_start).to_vec();
+                    q.row_mut(row).copy_from_slice(&src);
+                }
+                let k = filled(n, d, (n * 100 + d + 1) as u64);
+                let v = filled(n, d, (n * 100 + d + 2) as u64);
+                let mut scratch = Scratch::new();
+                let mut attn = Matrix::zeros(n, n);
+                let mut mixed = Matrix::zeros(n, d);
+                simd.attention_forward_fused(
+                    &q,
+                    &k,
+                    &v,
+                    1,
+                    0.25,
+                    Some(&mut attn),
+                    &mut mixed,
+                    &mut scratch,
+                );
+                let mut inference = Matrix::zeros(n, d);
+                simd.attention_forward_fused(
+                    &q,
+                    &k,
+                    &v,
+                    1,
+                    0.25,
+                    None,
+                    &mut inference,
+                    &mut scratch,
+                );
+                for row in tail_start..n {
+                    let block_row = row - tail_start;
+                    for (what, m) in [
+                        ("scores", &attn),
+                        ("mixed", &mixed),
+                        ("inference", &inference),
+                    ] {
+                        let tail: Vec<u32> = m.row(row).iter().map(|x| x.to_bits()).collect();
+                        let block: Vec<u32> =
+                            m.row(block_row).iter().map(|x| x.to_bits()).collect();
+                        assert_eq!(
+                            tail, block,
+                            "{what}: tail row {row} vs block row {block_row} at n={n} d={d}"
+                        );
+                    }
+                }
             }
         }
     }

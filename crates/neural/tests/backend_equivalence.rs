@@ -145,6 +145,109 @@ mod simd {
         Matrix::from_vec(rows, cols, data[..rows * cols].to_vec())
     }
 
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The fused attention forward over `items` stacked items of `n` rows
+    /// at width `d` on both backends. Checks that SIMD matches the reference
+    /// within its declared tolerance, that its inference form (no score
+    /// cache) is bit-identical to its training form, and that each batched
+    /// item is bit-identical to a solo pass on that item alone.
+    fn check_attention_forward(items: usize, n: usize, d: usize) {
+        let be = simd();
+        let tol = be.tolerance();
+        let rows = items * n;
+        let seed = (items * 10_000 + n * 100 + d) as u64;
+        let q = deterministic(rows, d, seed);
+        let k = deterministic(rows, d, seed + 1);
+        let v = deterministic(rows, d, seed + 2);
+        let scale = 1.0 / (d as f32).sqrt();
+        let shape = format!("items={items} n={n} d={d}");
+        let mut scratch = Scratch::with_backend(be);
+
+        let mut attn_s = Matrix::zeros(rows, n);
+        let mut mixed_s = Matrix::zeros(rows, d);
+        be.attention_forward_fused(
+            &q,
+            &k,
+            &v,
+            items,
+            scale,
+            Some(&mut attn_s),
+            &mut mixed_s,
+            &mut scratch,
+        );
+        let mut attn_r = Matrix::zeros(rows, n);
+        let mut mixed_r = Matrix::zeros(rows, d);
+        ReferenceBackend.attention_forward_fused(
+            &q,
+            &k,
+            &v,
+            items,
+            scale,
+            Some(&mut attn_r),
+            &mut mixed_r,
+            &mut Scratch::with_backend(&ReferenceBackend),
+        );
+        assert_close(tol, &attn_s, &attn_r, &format!("scores {shape}"));
+        assert_close(tol, &mixed_s, &mixed_r, &format!("mixed {shape}"));
+
+        let mut mixed_inf = Matrix::zeros(rows, d);
+        be.attention_forward_fused(&q, &k, &v, items, scale, None, &mut mixed_inf, &mut scratch);
+        assert_eq!(
+            bits(&mixed_inf),
+            bits(&mixed_s),
+            "inference vs training {shape}"
+        );
+
+        for item in 0..items {
+            let block = |m: &Matrix| mat_from(&m.data()[item * n * d..], n, d);
+            let mut attn_solo = Matrix::zeros(n, n);
+            let mut mixed_solo = Matrix::zeros(n, d);
+            be.attention_forward_fused(
+                &block(&q),
+                &block(&k),
+                &block(&v),
+                1,
+                scale,
+                Some(&mut attn_solo),
+                &mut mixed_solo,
+                &mut scratch,
+            );
+            let batched_attn = mat_from(&attn_s.data()[item * n * n..], n, n);
+            let batched_mixed = mat_from(&mixed_s.data()[item * n * d..], n, d);
+            assert_eq!(
+                bits(&attn_solo),
+                bits(&batched_attn),
+                "solo vs batched scores, item {item} {shape}"
+            );
+            assert_eq!(
+                bits(&mixed_solo),
+                bits(&batched_mixed),
+                "solo vs batched mixed, item {item} {shape}"
+            );
+        }
+    }
+
+    #[test]
+    fn attention_forward_holds_its_contracts_around_query_block_edges() {
+        // Row counts below, at and around the four-row query block, plus
+        // two with 1- and 3-row tails; widths with and without a scalar
+        // column tail.
+        for n in [1usize, 3, 4, 5, 8, 33, 67] {
+            for d in [16usize, 37] {
+                check_attention_forward(3, n, d);
+            }
+        }
+    }
+
+    #[test]
+    fn attention_forward_holds_its_contracts_at_registry_1000_scale() {
+        // The 1003-node world at the attention layers' width.
+        check_attention_forward(2, 1003, 64);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -123,7 +123,9 @@ pub fn plan(shape: &WorkloadShape) -> AutoscalePlan {
 /// * Otherwise threads default to `cores` and the engine follows the shape:
 ///   topologies at or above [`LOCKSTEP_NODE_THRESHOLD`] nodes (or action
 ///   spaces at or above [`LOCKSTEP_ACTION_THRESHOLD`]) run lockstep with
-///   `episodes.clamp(1, MAX_AUTO_LANES)` lanes; everything smaller runs
+///   `episodes.div_ceil(threads).clamp(1, MAX_AUTO_LANES)` lanes, so every
+///   worker gets a batch before any batch widens (with one thread that is
+///   `episodes.clamp(1, MAX_AUTO_LANES)`); everything smaller runs
 ///   episode-parallel, where per-decision cost is too small for batching to
 ///   beat the scatter/gather overhead.
 pub fn plan_with(
@@ -146,7 +148,7 @@ pub fn plan_with(
                 || shape.actions >= LOCKSTEP_ACTION_THRESHOLD;
             let engine = if batch_pays {
                 EngineChoice::Lockstep {
-                    lanes: shape.episodes.clamp(1, MAX_AUTO_LANES),
+                    lanes: shape.episodes.div_ceil(threads).clamp(1, MAX_AUTO_LANES),
                 }
             } else {
                 EngineChoice::EpisodeParallel
@@ -185,19 +187,47 @@ mod tests {
 
     #[test]
     fn large_topologies_go_lockstep_with_bounded_lanes() {
+        // 100 episodes over 8 workers: batches of ceil(100 / 8) = 13.
         let p = plan_with(&shape(1_000, 7_101, 100), 8, None, None);
+        assert_eq!(p.engine, EngineChoice::Lockstep { lanes: 13 });
+        // Fewer episodes than cores: one-lane batches, one per worker.
+        let few = plan_with(&shape(1_000, 7_101, 5), 8, None, None);
+        assert_eq!(few.engine, EngineChoice::Lockstep { lanes: 1 });
+        // Enough episodes to fill every worker past the cap.
+        let many = plan_with(&shape(1_000, 7_101, 1_000), 8, None, None);
         assert_eq!(
-            p.engine,
+            many.engine,
             EngineChoice::Lockstep {
                 lanes: MAX_AUTO_LANES
             }
         );
-        // Fewer episodes than the cap: every lane is an episode.
-        let few = plan_with(&shape(1_000, 7_101, 5), 8, None, None);
-        assert_eq!(few.engine, EngineChoice::Lockstep { lanes: 5 });
         // Wide action spaces trigger the same path on mid-sized topologies.
         let wide = plan_with(&shape(120, 2_000, 50), 8, None, None);
         assert!(matches!(wide.engine, EngineChoice::Lockstep { .. }));
+    }
+
+    #[test]
+    fn every_worker_gets_a_batch_before_any_batch_widens() {
+        // The XL evaluation shape: 4 episodes on 2 cores run as two 2-lane
+        // batches, not one 4-lane batch beside an idle core.
+        let xl = plan_with(&shape(1_003, 7_222, 4), 2, None, None);
+        assert_eq!(xl.engine, EngineChoice::Lockstep { lanes: 2 });
+        assert_eq!(xl.threads, 2);
+        // A single episode is a single lane on any machine.
+        for cores in [1, 2, 8] {
+            let one = plan_with(&shape(1_003, 7_222, 1), cores, None, None);
+            assert_eq!(one.engine, EngineChoice::Lockstep { lanes: 1 });
+        }
+        // One thread keeps every episode in one batch, up to the cap.
+        for (episodes, lanes) in [(4, 4), (5, 5), (100, MAX_AUTO_LANES)] {
+            let serial = plan_with(&shape(1_003, 7_222, episodes), 8, Some(1), None);
+            assert_eq!(serial.engine, EngineChoice::Lockstep { lanes });
+            assert_eq!(serial.threads, 1);
+        }
+        // A lanes override still wins over the per-worker split.
+        let pinned = plan_with(&shape(1_003, 7_222, 4), 2, None, Some(4));
+        assert_eq!(pinned.engine, EngineChoice::Lockstep { lanes: 4 });
+        assert!(pinned.engine_overridden);
     }
 
     #[test]
@@ -228,7 +258,8 @@ mod tests {
         let a = plan_with(&shape(500, 3_600, 20), 4, None, None);
         let b = plan_with(&shape(500, 3_600, 20), 4, None, None);
         assert_eq!(a, b);
-        assert_eq!(a.describe(), "lockstep lanes=16 threads=4 (auto)");
+        // 20 episodes over 4 workers: batches of 5.
+        assert_eq!(a.describe(), "lockstep lanes=5 threads=4 (auto)");
         let serial = plan_with(&shape(20, 150, 20), 4, Some(1), None);
         assert_eq!(
             serial.describe(),
