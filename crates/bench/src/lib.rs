@@ -76,6 +76,17 @@ pub fn episode_states(spec: TopologySpec, count: usize) -> (Vec<StateFeatures>, 
         ..SimConfig::tiny()
     }
     .with_max_time(4 * count as u64 + 50);
+    trajectory_states(sim, count, 3)
+}
+
+/// Encodes `count` decision-point states of one undefended episode of
+/// `sim`, `stride` hours apart (the first at hour 0), with the DBN filter
+/// fit on one episode of the same simulator at seed 0.
+pub fn trajectory_states(
+    sim: SimConfig,
+    count: usize,
+    stride: usize,
+) -> (Vec<StateFeatures>, ActionSpace) {
     let model = learn_model(&LearnConfig {
         episodes: 1,
         seed: 0,
@@ -90,11 +101,48 @@ pub fn episode_states(spec: TopologySpec, count: usize) -> (Vec<StateFeatures>, 
     for _ in 0..count {
         filter.update(&obs);
         states.push(encoder.encode(&obs, &filter));
-        for _ in 0..3 {
+        for _ in 0..stride {
             obs = env.step(&[DefenderAction::NoAction]).observation;
         }
     }
     (states, space)
+}
+
+/// Hand-built variants of a real encoded state that pin grouped Q-network
+/// inference at its edges, in this order: every node row equal (hosts and
+/// servers still split by head routing); a host row with a server row's
+/// bits; two node rows and two PLC rows that differ only in the sign of a
+/// zero; and every node row distinct (no row to group).
+///
+/// # Panics
+///
+/// Panics if `base` has fewer than two hosts, servers or PLCs.
+pub fn grouping_edge_states(base: &StateFeatures) -> Vec<StateFeatures> {
+    let (host, server) = (base.host_rows[0], base.server_rows[0]);
+    let copy_row = |f: &mut StateFeatures, from: usize, to: usize| {
+        let src = f.nodes.row(from).to_vec();
+        f.nodes.row_mut(to).copy_from_slice(&src);
+    };
+    let mut all_equal = base.clone();
+    for node in 1..all_equal.node_count() {
+        copy_row(&mut all_equal, 0, node);
+    }
+    let mut host_as_server = base.clone();
+    copy_row(&mut host_as_server, server, host);
+    let mut signed_zero = base.clone();
+    let twin = base.host_rows[1];
+    copy_row(&mut signed_zero, host, twin);
+    let col = base.nodes.row(host).iter().position(|&v| v == 0.0).unwrap();
+    signed_zero.nodes.row_mut(twin)[col] = -0.0;
+    let plc = signed_zero.plcs.row(0).to_vec();
+    signed_zero.plcs.row_mut(1).copy_from_slice(&plc);
+    let col = plc.iter().position(|&v| v == 0.0).unwrap();
+    signed_zero.plcs.row_mut(1)[col] = -0.0;
+    let mut distinct = base.clone();
+    for node in 0..distinct.node_count() {
+        distinct.nodes.row_mut(node)[0] += node as f32 * 1e-3;
+    }
+    vec![all_equal, host_as_server, signed_zero, distinct]
 }
 
 /// Builds an agent on the `paper_small` topology with the given minibatch

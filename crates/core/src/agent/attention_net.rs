@@ -12,6 +12,8 @@ use crate::agent::QNetwork;
 use crate::features::{StateFeatures, NODE_FEATURE_DIM, PLC_FEATURE_DIM, PLC_SUMMARY_DIM};
 use neural::layers::{Activation, Dense, SelfAttention};
 use neural::{Batch, Layer, Matrix, Param, Scratch};
+use std::collections::HashMap;
+use std::hash::Hash;
 
 const EMBED_HIDDEN: usize = 64;
 const EMBED_OUT: usize = 32;
@@ -56,6 +58,8 @@ pub struct AttentionQNet {
     scratch: Scratch,
     cache: Option<ForwardCache>,
     batch_cache: Option<BatchForwardCache>,
+    /// Reused row-grouping buffers of the batched forward.
+    groups: RowGroups,
 }
 
 #[derive(Debug, Clone)]
@@ -115,6 +119,7 @@ impl AttentionQNet {
             scratch: Scratch::new(),
             cache: None,
             batch_cache: None,
+            groups: RowGroups::default(),
         }
     }
 
@@ -143,6 +148,27 @@ impl AttentionQNet {
     /// their batch caches and the head-routing cache is refreshed for
     /// [`QNetwork::backward_batch`]). One implementation of the stacked
     /// pass keeps the two paths bit-identical by construction.
+    ///
+    /// **Grouped inference.** The embedding MLP and the heads are shared
+    /// across nodes, and attention has no positional input, so two nodes of
+    /// one state whose feature rows match bit for bit (and that feed the
+    /// same heads) get bit-identical outputs at every stage. Inference
+    /// therefore groups each state's node rows by (head routing,
+    /// `f32::to_bits` of the row), pads every state to `m`, the batch's
+    /// largest group count, and runs the embedding, both attention layers
+    /// and the host/server heads on `b × m` group rows instead of `b × n`
+    /// node rows; the PLC head runs once per distinct PLC status row. The
+    /// steps that mix rows still see every node: each attention layer
+    /// copies K and V out to all `n` nodes in node order
+    /// ([`SelfAttention::forward_batch_grouped`]), and the pooled context
+    /// adds all `n` context rows in ascending node order. Every kernel on
+    /// the way computes an output row from its own input row alone, so the
+    /// Q-values are bit-identical to the ungrouped pass on every backend.
+    /// Grouping is chosen from the input alone: it applies when `m < n`,
+    /// and a batch whose largest group count is `n` runs the identity
+    /// grouping, which is exactly the ungrouped pass. Training always runs
+    /// the identity grouping, so its batch caches, and the gradient sums
+    /// `backward_batch` forms from them, keep their shapes and order.
     fn q_values_batch_impl(&mut self, features: &[&StateFeatures], train: bool) -> Vec<Vec<f32>> {
         if features.is_empty() {
             return Vec::new();
@@ -163,15 +189,20 @@ impl AttentionQNet {
                 "batched states must share head routing"
             );
         }
-        let hosts = f0.host_rows.len();
-        let servers = f0.server_rows.len();
+        let mut g = std::mem::take(&mut self.groups);
+        g.plan(features, train);
+        let m = g.node.width;
         let head_in = CTX_DIM + PLC_SUMMARY_DIM;
         let s = &mut self.scratch;
 
-        // Shared per-node embedding over all states' node rows at once.
-        let mut x = Batch::take(s, b, n, NODE_FEATURE_DIM);
+        // Shared per-node embedding over every state's group rows at once.
+        let mut x = Batch::take(s, b, m, NODE_FEATURE_DIM);
         for (i, f) in features.iter().enumerate() {
-            x.write_item(i, &f.nodes);
+            for (row, node) in g.node.sources(i) {
+                x.matrix_mut()
+                    .row_mut(i * m + row)
+                    .copy_from_slice(f.nodes.row(node));
+            }
         }
         let y = fwd(&mut self.embed1, &x, s, train);
         s.recycle(x.into_matrix());
@@ -186,74 +217,71 @@ impl AttentionQNet {
         let e = fwd(&mut self.embed_act3, &y, s, train);
         s.recycle(y.into_matrix());
 
-        // Global attention within each state (per-item boundary).
-        let x = fwd(&mut self.attn1, &e, s, train);
+        // Global attention within each state (per-item boundary) over all
+        // of the state's nodes.
+        let x = attend(&mut self.attn1, &e, &g.node, s, train);
         s.recycle(e.into_matrix());
-        let ctx = fwd(&mut self.attn2, &x, s, train);
+        let ctx = attend(&mut self.attn2, &x, &g.node, s, train);
         s.recycle(x.into_matrix());
 
-        // Per-state pooled context.
+        // Per-state pooled context: every node's context row, ascending
+        // node order, scaled by 1/n (a repeated row is added once per node,
+        // never weighted by its count, so the sum keeps its order).
         let mut mean_ctx = s.take(b, CTX_DIM);
         for i in 0..b {
-            mean_row_block(ctx.matrix(), i * n, n, mean_ctx.row_mut(i));
-        }
-
-        // Per-node head input: context ++ that state's PLC summary.
-        let mut h = s.take(b * n, head_in);
-        for (i, f) in features.iter().enumerate() {
-            for r in 0..n {
-                let row = h.row_mut(i * n + r);
-                row[..CTX_DIM].copy_from_slice(ctx.matrix().row(i * n + r));
-                row[CTX_DIM..].copy_from_slice(f.plc_summary.row(0));
-            }
-        }
-        s.recycle(ctx.into_matrix());
-
-        let q_host = if hosts == 0 {
-            None
-        } else {
-            let mut host_in = Batch::take(s, b, hosts, head_in);
-            for i in 0..b {
-                for (slot, &node) in f0.host_rows.iter().enumerate() {
-                    host_in
-                        .matrix_mut()
-                        .row_mut(i * hosts + slot)
-                        .copy_from_slice(h.row(i * n + node));
+            let out = mean_ctx.row_mut(i);
+            for &row in g.node.rows_of(i) {
+                for (o, v) in out.iter_mut().zip(ctx.matrix().row(i * m + row)) {
+                    *o += v;
                 }
             }
-            Some(head_chain_batch(
+            if n > 0 {
+                let inv = 1.0 / n as f32;
+                for o in out {
+                    *o *= inv;
+                }
+            }
+        }
+
+        // Node heads: one input row per group of the head's nodes, holding
+        // that group's context ++ the state's PLC summary.
+        let head_input = |head: &Grouping, nodes: &[usize], s: &mut Scratch| {
+            let mut input = Batch::take(s, b, head.width, head_in);
+            for (i, f) in features.iter().enumerate() {
+                for (row, slot) in head.sources(i) {
+                    let group = g.node.rows_of(i)[nodes[slot]];
+                    let dst = input.matrix_mut().row_mut(i * head.width + row);
+                    dst[..CTX_DIM].copy_from_slice(ctx.matrix().row(i * m + group));
+                    dst[CTX_DIM..].copy_from_slice(f.plc_summary.row(0));
+                }
+            }
+            input
+        };
+        let q_host = (!f0.host_rows.is_empty()).then(|| {
+            let input = head_input(&g.host, &f0.host_rows, s);
+            head_chain_batch(
                 &mut self.host_head1,
                 &mut self.host_act,
                 &mut self.host_head2,
                 &mut self.host_out,
-                host_in,
+                input,
                 s,
                 train,
-            ))
-        };
-        let q_server = if servers == 0 {
-            None
-        } else {
-            let mut server_in = Batch::take(s, b, servers, head_in);
-            for i in 0..b {
-                for (slot, &node) in f0.server_rows.iter().enumerate() {
-                    server_in
-                        .matrix_mut()
-                        .row_mut(i * servers + slot)
-                        .copy_from_slice(h.row(i * n + node));
-                }
-            }
-            Some(head_chain_batch(
+            )
+        });
+        let q_server = (!f0.server_rows.is_empty()).then(|| {
+            let input = head_input(&g.server, &f0.server_rows, s);
+            head_chain_batch(
                 &mut self.server_head1,
                 &mut self.server_act,
                 &mut self.server_head2,
                 &mut self.server_out,
-                server_in,
+                input,
                 s,
                 train,
-            ))
-        };
-        s.recycle(h);
+            )
+        });
+        s.recycle(ctx.into_matrix());
 
         // No-action value from each state's pooled context.
         let mut noact_in = Batch::take(s, b, 1, head_in);
@@ -272,16 +300,18 @@ impl AttentionQNet {
             train,
         );
 
-        // PLC head: per-PLC status one-hot ++ pooled context.
+        // PLC head: one input row per distinct PLC status row of each
+        // state, holding that status one-hot ++ the pooled context.
         let q_plc = if p == 0 {
             None
         } else {
-            let mut plc_in = Batch::take(s, b, p, PLC_FEATURE_DIM + CTX_DIM);
+            let width = g.plc.width;
+            let mut plc_in = Batch::take(s, b, width, PLC_FEATURE_DIM + CTX_DIM);
             for (i, f) in features.iter().enumerate() {
-                for r in 0..p {
-                    let row = plc_in.matrix_mut().row_mut(i * p + r);
-                    row[..PLC_FEATURE_DIM].copy_from_slice(f.plcs.row(r));
-                    row[PLC_FEATURE_DIM..].copy_from_slice(mean_ctx.row(i));
+                for (row, plc) in g.plc.sources(i) {
+                    let dst = plc_in.matrix_mut().row_mut(i * width + row);
+                    dst[..PLC_FEATURE_DIM].copy_from_slice(f.plcs.row(plc));
+                    dst[PLC_FEATURE_DIM..].copy_from_slice(mean_ctx.row(i));
                 }
             }
             Some(head_chain_batch(
@@ -296,44 +326,39 @@ impl AttentionQNet {
         };
         s.recycle(mean_ctx);
 
-        // Assemble each state's flat Q-vector in action-space order.
+        // Assemble each state's flat Q-vector in action-space order, every
+        // node and PLC reading its group's row.
         let mut out = Vec::with_capacity(b);
         let plc_base = 1 + ACTIONS_PER_NODE * n;
         for i in 0..b {
             let mut q = vec![0.0f32; self.action_space.len()];
             q[0] = q_noact.matrix().get(i, 0);
-            if let Some(qh) = &q_host {
-                for (slot, &node) in f0.host_rows.iter().enumerate() {
-                    let base = 1 + node * ACTIONS_PER_NODE;
-                    q[base..base + ACTIONS_PER_NODE]
-                        .copy_from_slice(qh.matrix().row(i * hosts + slot));
-                }
-            }
-            if let Some(qs) = &q_server {
-                for (slot, &node) in f0.server_rows.iter().enumerate() {
-                    let base = 1 + node * ACTIONS_PER_NODE;
-                    q[base..base + ACTIONS_PER_NODE]
-                        .copy_from_slice(qs.matrix().row(i * servers + slot));
+            for (head, nodes, qh) in [
+                (&g.host, &f0.host_rows, &q_host),
+                (&g.server, &f0.server_rows, &q_server),
+            ] {
+                if let Some(qh) = qh {
+                    for (&node, &row) in nodes.iter().zip(head.rows_of(i)) {
+                        let base = 1 + node * ACTIONS_PER_NODE;
+                        q[base..base + ACTIONS_PER_NODE]
+                            .copy_from_slice(qh.matrix().row(i * head.width + row));
+                    }
                 }
             }
             if let Some(qp) = &q_plc {
-                for plc in 0..p {
+                for (plc, &row) in g.plc.rows_of(i).iter().enumerate() {
                     let base = plc_base + plc * ACTIONS_PER_PLC;
-                    q[base..base + ACTIONS_PER_PLC].copy_from_slice(qp.matrix().row(i * p + plc));
+                    q[base..base + ACTIONS_PER_PLC]
+                        .copy_from_slice(qp.matrix().row(i * g.plc.width + row));
                 }
             }
             out.push(q);
         }
-        if let Some(qh) = q_host {
-            s.recycle(qh.into_matrix());
-        }
-        if let Some(qs) = q_server {
-            s.recycle(qs.into_matrix());
-        }
-        if let Some(qp) = q_plc {
-            s.recycle(qp.into_matrix());
+        for q in [q_host, q_server, q_plc].into_iter().flatten() {
+            s.recycle(q.into_matrix());
         }
         s.recycle(q_noact.into_matrix());
+        self.groups = g;
 
         if train {
             // Refresh the batched routing cache, reusing its row-index buffers.
@@ -356,6 +381,186 @@ impl AttentionQNet {
     }
 }
 
+/// Head-routing bits in a node row's grouping key: a host and a server with
+/// identical features stay in separate groups, so each goes through its
+/// own head.
+const ROUTE_HOST: u8 = 1;
+const ROUTE_SERVER: u8 = 2;
+
+/// How each item of a batch maps its rows (nodes, a head's node list, or
+/// PLCs) onto the rows the forward computes.
+#[derive(Debug, Clone, Default)]
+struct Grouping {
+    /// Rows per item of the grouped list.
+    rows: usize,
+    /// Computed rows per item: the batch's largest group count (shorter
+    /// items are padded), `rows` under the identity grouping.
+    width: usize,
+    /// `[items * rows]`: the computed row, within its item, of every row.
+    of_row: Vec<usize>,
+    /// `[items * width]`: the first row each computed row stands for
+    /// ([`PADDING`] on padding rows, which stay zero and feed nothing).
+    source: Vec<usize>,
+}
+
+/// [`Grouping::source`] entry of a padding row.
+const PADDING: usize = usize::MAX;
+
+impl Grouping {
+    /// Every row computed for itself.
+    fn identity(&mut self, items: usize, rows: usize) {
+        self.rows = rows;
+        self.width = rows;
+        self.of_row.clear();
+        self.of_row.extend((0..items).flat_map(|_| 0..rows));
+        self.source.clone_from(&self.of_row);
+    }
+
+    /// Groups each item's rows by `key` (bit patterns, so `±0.0` and NaN
+    /// payloads form separate groups, which is always safe): a row joins
+    /// the group of the first earlier row of its item with an equal key,
+    /// or opens the next one. The previous row's key is checked first —
+    /// quiet nodes arrive in index-ordered runs — so each row is hashed at
+    /// most once and most rows not at all.
+    fn by_key<K: Copy + Eq + Hash>(
+        &mut self,
+        items: usize,
+        rows: usize,
+        mut key: impl FnMut(usize, usize) -> K,
+    ) {
+        self.rows = rows;
+        self.width = 0;
+        self.of_row.clear();
+        let mut memo: HashMap<K, usize> = HashMap::new();
+        for item in 0..items {
+            memo.clear();
+            let mut last: Option<(K, usize)> = None;
+            for row in 0..rows {
+                let k = key(item, row);
+                let group = match last {
+                    Some((lk, lg)) if lk == k => lg,
+                    _ => {
+                        let next = memo.len();
+                        let group = *memo.entry(k).or_insert(next);
+                        last = Some((k, group));
+                        group
+                    }
+                };
+                self.of_row.push(group);
+            }
+            self.width = self.width.max(memo.len());
+        }
+        self.source.clear();
+        self.source.resize(items * self.width, PADDING);
+        for (at, &group) in self.of_row.iter().enumerate() {
+            let src = &mut self.source[at / rows * self.width + group];
+            if *src == PADDING {
+                *src = at % rows;
+            }
+        }
+    }
+
+    /// Item `i`'s computed row for each of its rows.
+    fn rows_of(&self, item: usize) -> &[usize] {
+        &self.of_row[item * self.rows..(item + 1) * self.rows]
+    }
+
+    /// Item `i`'s non-padding computed rows with the row each copies.
+    fn sources(&self, item: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.source[item * self.width..(item + 1) * self.width]
+            .iter()
+            .enumerate()
+            .filter(|(_, &src)| src != PADDING)
+            .map(|(row, &src)| (row, src))
+    }
+}
+
+/// The row groupings one batched forward runs with (reused across calls).
+#[derive(Debug, Clone, Default)]
+struct RowGroups {
+    /// Node rows → embedding/attention rows.
+    node: Grouping,
+    /// Host list → host-head rows (keyed by node group).
+    host: Grouping,
+    /// Server list → server-head rows (keyed by node group).
+    server: Grouping,
+    /// PLC rows → PLC-head rows.
+    plc: Grouping,
+    /// Per-node head-routing bits.
+    route: Vec<u8>,
+}
+
+impl RowGroups {
+    /// Chooses this batch's groupings: by key at inference, identity in
+    /// training, and identity wherever grouping saves no row.
+    fn plan(&mut self, features: &[&StateFeatures], train: bool) {
+        let b = features.len();
+        let f0 = features[0];
+        let (n, p) = (f0.node_count(), f0.plc_count());
+        let (hosts, servers) = (&f0.host_rows, &f0.server_rows);
+        if !train {
+            self.route.clear();
+            self.route.resize(n, 0);
+            for &node in hosts {
+                self.route[node] |= ROUTE_HOST;
+            }
+            for &node in servers {
+                self.route[node] |= ROUTE_SERVER;
+            }
+            let route = &self.route;
+            self.node.by_key(b, n, |i, r| {
+                (
+                    route[r],
+                    row_bits::<NODE_FEATURE_DIM>(features[i].nodes.row(r)),
+                )
+            });
+            self.plc.by_key(b, p, |i, r| {
+                row_bits::<PLC_FEATURE_DIM>(features[i].plcs.row(r))
+            });
+        }
+        if train || self.node.width == n {
+            self.node.identity(b, n);
+            self.host.identity(b, hosts.len());
+            self.server.identity(b, servers.len());
+        } else {
+            let node = &self.node;
+            self.host
+                .by_key(b, hosts.len(), |i, r| node.rows_of(i)[hosts[r]]);
+            self.server
+                .by_key(b, servers.len(), |i, r| node.rows_of(i)[servers[r]]);
+        }
+        if train || self.plc.width == p {
+            self.plc.identity(b, p);
+        }
+    }
+}
+
+/// A feature row's bit pattern: the grouping key's equality is bitwise.
+fn row_bits<const D: usize>(row: &[f32]) -> [u32; D] {
+    let mut bits = [0u32; D];
+    for (b, v) in bits.iter_mut().zip(row) {
+        *b = v.to_bits();
+    }
+    bits
+}
+
+/// One attention layer's batched forward over a node grouping: the
+/// ungrouped (training or inference) pass under the identity grouping,
+/// otherwise the grouped inference pass.
+fn attend(
+    layer: &mut SelfAttention,
+    x: &Batch,
+    node: &Grouping,
+    s: &mut Scratch,
+    train: bool,
+) -> Batch {
+    if node.width == node.rows {
+        fwd(layer, x, s, train)
+    } else {
+        layer.forward_batch_grouped(x, &node.of_row, s)
+    }
+}
+
 /// `hcat` of two row blocks written into a pooled matrix: every output row
 /// is `left.row(i) ++ right_row` (with `right` broadcast when single-row).
 fn hcat_broadcast_into(left: &Matrix, right: &Matrix, out: &mut Matrix) {
@@ -365,24 +570,6 @@ fn hcat_broadcast_into(left: &Matrix, right: &Matrix, out: &mut Matrix) {
         let row = out.row_mut(i);
         row[..lc].copy_from_slice(left.row(i));
         row[lc..].copy_from_slice(right.row(right_row));
-    }
-}
-
-/// Column mean over the row block `start .. start + rows` of `src`, written
-/// into `out`. Bit-identical to [`Matrix::mean_rows_into`] on the block
-/// alone: zero, accumulate rows in ascending order, scale by `1/rows`.
-fn mean_row_block(src: &Matrix, start: usize, rows: usize, out: &mut [f32]) {
-    out.fill(0.0);
-    for r in 0..rows {
-        for (o, v) in out.iter_mut().zip(src.row(start + r)) {
-            *o += v;
-        }
-    }
-    if rows > 0 {
-        let inv = 1.0 / rows as f32;
-        for o in out {
-            *o *= inv;
-        }
     }
 }
 
@@ -448,9 +635,11 @@ impl QNetwork for AttentionQNet {
     /// axis and pushed through every stage in one pass — the per-node
     /// embedding and the output heads as single stacked matmuls, the
     /// attention layers with an explicit per-item boundary (each state's
-    /// nodes attend only to that state's nodes). Every state's Q-vector is
-    /// bit-identical to a solo [`AttentionQNet::q_values`] call, and the
-    /// training cache is left untouched.
+    /// nodes attend only to that state's nodes). Each state's repeated node
+    /// rows are computed once (grouped inference, see
+    /// `q_values_batch_impl`). Every state's Q-vector is bit-identical to a
+    /// solo [`AttentionQNet::q_values`] call, and the training cache is left
+    /// untouched.
     ///
     /// # Panics
     ///
@@ -976,16 +1165,44 @@ mod tests {
 
     #[test]
     fn batched_q_values_are_bit_identical_to_solo_forwards() {
-        let (states, space) = episode_states(9, 3);
+        let (mut states, space) = episode_states(9, 3);
+        // Hand-built edges of grouped inference: every node row equal (one
+        // group per head), and two rows that differ only in a zero's sign
+        // (separate groups).
+        let mut all_equal = states[4].clone();
+        let mut signed_zero = states[4].clone();
+        let row0 = all_equal.nodes.row(0).to_vec();
+        for r in 1..all_equal.node_count() {
+            all_equal.nodes.row_mut(r).copy_from_slice(&row0);
+        }
+        let (a, b) = (signed_zero.host_rows[0], signed_zero.host_rows[1]);
+        let row_a = signed_zero.nodes.row(a).to_vec();
+        let zero = row_a.iter().position(|&v| v == 0.0).unwrap();
+        signed_zero.nodes.row_mut(b).copy_from_slice(&row_a);
+        signed_zero.nodes.row_mut(b)[zero] = -0.0;
+        states.extend([all_equal, signed_zero]);
+
+        let bits = |qs: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            qs.iter()
+                .map(|q| q.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
         let mut net = AttentionQNet::new(space, 5);
-        // Solo answers first, then the batch — and again in the other order,
-        // so neither path depends on residue from the other.
+        // Solo answers first, then the batches — and again in the other
+        // order, so neither path depends on residue from the other.
         let solo: Vec<Vec<f32>> = states.iter().map(|f| net.q_values(f)).collect();
         let refs: Vec<&StateFeatures> = states.iter().collect();
-        let batched = net.q_values_batch(&refs);
-        assert_eq!(solo, batched, "batched Q-values diverged from solo");
+        for size in [1, 3, refs.len()] {
+            let batched: Vec<Vec<f32>> = refs
+                .chunks(size)
+                .flat_map(|chunk| net.q_values_batch(chunk))
+                .collect();
+            assert_eq!(bits(&solo), bits(&batched), "batches of {size} vs solo");
+        }
+        let trained = net.q_values_batch_train(&refs);
+        assert_eq!(bits(&solo), bits(&trained), "training forward vs solo");
         let again: Vec<Vec<f32>> = states.iter().map(|f| net.q_values(f)).collect();
-        assert_eq!(solo, again);
+        assert_eq!(bits(&solo), bits(&again));
         // Not all states are identical, so the equality above is meaningful.
         assert!(solo.windows(2).any(|w| w[0] != w[1]));
     }

@@ -41,6 +41,11 @@ pub trait QNetwork: Send {
     /// * the call is **inference-only**: no backward cache is written or
     ///   clobbered, so it may run between a cached `q_values` forward and
     ///   its [`QNetwork::backward`].
+    ///
+    /// Being inference-only also leaves an implementation free to skip
+    /// repeated work the training forward must keep: [`AttentionQNet`]
+    /// runs each state's distinct node rows once, with the same output
+    /// bits (see its `q_values_batch_impl`).
     fn q_values_batch(&mut self, features: &[&StateFeatures]) -> Vec<Vec<f32>>;
 
     /// Q-values for every flat action of a single state, in action-space

@@ -208,18 +208,25 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
     }
 
     /// The fused block-diagonal attention forward stage over a stacked batch
-    /// of `items` independent row blocks:
+    /// of `items` independent items, each with `m` query rows and `n`
+    /// key/value rows:
     ///
     /// ```text
-    /// per item i (rows i*n .. (i+1)*n of each stacked matrix):
-    ///   A_i = softmax(Q_i · K_iᵀ * scale)      ([n, n])
-    ///   mixed_i = A_i · V_i                     ([n, d])
+    /// per item i (query rows i*m .. (i+1)*m, key/value rows i*n .. (i+1)*n):
+    ///   A_i = softmax(Q_i · K_iᵀ * scale)      ([m, n])
+    ///   mixed_i = A_i · V_i                     ([m, d])
     /// ```
     ///
-    /// `q`, `k`, `v` and `mixed` are `[items * n, d]`; `attn`, when present,
-    /// receives the stacked `[items * n, n]` attention blocks (the training
-    /// cache; inference passes `None` and pays nothing for it). Temporaries
-    /// come from `scratch`.
+    /// `q` and `mixed` are `[items * m, d]`, `k` and `v` `[items * n, d]`;
+    /// `attn`, when present, receives the stacked `[items * m, n]` score
+    /// blocks (the training cache; inference passes `None` and pays nothing
+    /// for it). Self-attention is the square case `m = n`; grouped inference
+    /// passes only an item's distinct query rows (`m < n`) against all of its
+    /// keys. A query row's scores and mixed values depend on that row and its
+    /// item's keys and values alone — never on `m` or on the other query rows
+    /// — so a row computes the same bits at every `m` and in both forms (the
+    /// equivalence suite pins this per backend). Temporaries come from
+    /// `scratch`.
     #[allow(clippy::too_many_arguments)]
     fn attention_forward_fused(
         &self,
@@ -235,7 +242,8 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
         reference::attention_forward_fused(q, k, v, items, scale, attn, mixed, scratch);
     }
 
-    /// The fused block-diagonal attention backward stage: given the stacked
+    /// The fused block-diagonal attention backward stage (square items only:
+    /// training never groups rows): given the stacked
     /// gradient of the mixed values and the cached forward intermediates, it
     /// writes the stacked gradients with respect to `Q`, `K` and `V`
     /// (softmax backward included, pre-scaled by `scale`). Parameter

@@ -55,28 +55,43 @@ pub(super) fn activation_grad_from_output(
     }
 }
 
-/// Validates the stacked shapes of a fused attention call and returns the
-/// per-item row count `n`.
-pub(super) fn attention_item_rows(q: &Matrix, k: &Matrix, v: &Matrix, items: usize) -> usize {
+/// Validates the stacked shapes of a fused attention forward and returns
+/// the per-item query and key row counts `(m, n)`.
+pub(super) fn attention_forward_rows(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    items: usize,
+) -> (usize, usize) {
     assert!(items > 0, "attention batch must contain at least one item");
-    assert_eq!(q.shape(), k.shape(), "attention Q/K shape mismatch");
-    assert_eq!(q.shape(), v.shape(), "attention Q/V shape mismatch");
-    assert_eq!(
-        q.rows() % items,
-        0,
-        "attention rows {} not divisible by {} items",
-        q.rows(),
-        items
-    );
-    q.rows() / items
+    assert_eq!(q.cols(), k.cols(), "attention Q/K width mismatch");
+    assert_eq!(k.shape(), v.shape(), "attention K/V shape mismatch");
+    for (what, rows) in [("query", q.rows()), ("key", k.rows())] {
+        assert_eq!(
+            rows % items,
+            0,
+            "attention {what} rows {rows} not divisible by {items} items"
+        );
+    }
+    (q.rows() / items, k.rows() / items)
+}
+
+/// Validates the stacked shapes of a fused attention backward (square items:
+/// every stacked matrix is `[items * n, d]`) and returns `n`.
+pub(super) fn attention_item_rows(q: &Matrix, k: &Matrix, v: &Matrix, items: usize) -> usize {
+    let (m, n) = attention_forward_rows(q, k, v, items);
+    assert_eq!(m, n, "attention backward needs square items");
+    n
 }
 
 /// Reference body of [`KernelBackend::attention_forward_fused`]: a per-item
 /// loop over gathered row blocks running exactly the solo forward's kernel
 /// calls (`Q_i·K_iᵀ` via the lane-summed transb kernel, scalar scale,
-/// exact-order softmax, tiled `A_i·V_i`), so each item's scores and mixed
-/// values are bit-identical to a solo pass on that item alone — the contract
-/// the batched determinism fixtures pin.
+/// exact-order softmax, tiled `A_i·V_i`). Each of those computes an output
+/// row from its own query row alone, so each item's scores and mixed values
+/// are bit-identical to a solo pass on that item, and each query row's to
+/// the same row of the square pass — the contracts the batched determinism
+/// fixtures and the grouped Q-network inference pin.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn attention_forward_fused(
     q: &Matrix,
@@ -88,30 +103,29 @@ pub(super) fn attention_forward_fused(
     mixed: &mut Matrix,
     scratch: &mut Scratch,
 ) {
-    let n = attention_item_rows(q, k, v, items);
+    let (m, n) = attention_forward_rows(q, k, v, items);
     let d = q.cols();
-    assert_eq!(mixed.shape(), (items * n, d), "attention mixed shape");
+    assert_eq!(mixed.shape(), (items * m, d), "attention mixed shape");
     if let Some(attn) = attn.as_deref() {
-        assert_eq!(attn.shape(), (items * n, n), "attention stacked-A shape");
+        assert_eq!(attn.shape(), (items * m, n), "attention stacked-A shape");
     }
-    let mut qi = scratch.take(n, d);
+    let mut qi = scratch.take(m, d);
     let mut ki = scratch.take(n, d);
     let mut vi = scratch.take(n, d);
-    let mut attn_i = scratch.take(n, n);
-    let mut mixed_i = scratch.take(n, d);
+    let mut attn_i = scratch.take(m, n);
+    let mut mixed_i = scratch.take(m, d);
     for item in 0..items {
-        let start = item * n;
-        q.copy_row_block_into(start, &mut qi);
-        k.copy_row_block_into(start, &mut ki);
-        v.copy_row_block_into(start, &mut vi);
+        q.copy_row_block_into(item * m, &mut qi);
+        k.copy_row_block_into(item * n, &mut ki);
+        v.copy_row_block_into(item * n, &mut vi);
         qi.matmul_transb_into(&ki, &mut attn_i);
         attn_i.scale_inplace(scale);
         attn_i.softmax_rows_inplace();
         attn_i.matmul_into(&vi, &mut mixed_i);
         if let Some(attn) = attn.as_deref_mut() {
-            attn.write_row_block(start, &attn_i);
+            attn.write_row_block(item * m, &attn_i);
         }
-        mixed.write_row_block(start, &mixed_i);
+        mixed.write_row_block(item * m, &mixed_i);
     }
     scratch.recycle(qi);
     scratch.recycle(ki);

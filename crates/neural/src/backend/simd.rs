@@ -4,9 +4,10 @@
 //! broadcast-FMA register-blocked GEMM (plain, `aᵀ·b` and `a·bᵀ` variants),
 //! vectorized activation maps, a polynomial-`exp` row softmax, and fused
 //! per-block attention kernels that run each batch item's
-//! score/softmax/mix stage directly on the stacked `[b*n, n]` block-diagonal
-//! layout — no gather copies. The forward runs one fused pass per block of
-//! four query rows, so each key and value row is loaded once per block.
+//! score/softmax/mix stage directly on the stacked block-diagonal layout
+//! (`m` query rows against `n` keys per item) — no gather copies. The
+//! forward runs one fused pass per block of four query rows, so each key and
+//! value row is loaded once per block.
 //!
 //! Dispatch is at runtime: AVX2+FMA support is checked with
 //! `is_x86_feature_detected!` on every entry (the detection result is cached
@@ -310,12 +311,12 @@ impl KernelBackend for SimdBackend {
     ) {
         #[cfg(target_arch = "x86_64")]
         if self.avx2_active() {
-            let n = reference::attention_item_rows(q, k, v, items);
+            let (m, n) = reference::attention_forward_rows(q, k, v, items);
             let d = q.cols();
-            assert_eq!(mixed.shape(), (items * n, d), "attention mixed shape");
+            assert_eq!(mixed.shape(), (items * m, d), "attention mixed shape");
             let mut attn = attn;
             if let Some(attn) = attn.as_deref() {
-                assert_eq!(attn.shape(), (items * n, n), "attention stacked-A shape");
+                assert_eq!(attn.shape(), (items * m, n), "attention stacked-A shape");
             }
             // One fused pass per block of query rows, directly on the
             // stacked block-diagonal layout — no per-item gather copies. A
@@ -323,21 +324,33 @@ impl KernelBackend for SimdBackend {
             // the caller wants it, otherwise in this reused block buffer.
             let mut score = scratch.take(avx::QUERY_BLOCK, n);
             for item in 0..items {
-                let r = item * n;
-                let qb = &q.data()[r * d..(r + n) * d];
-                let kb = &k.data()[r * d..(r + n) * d];
-                let vb = &v.data()[r * d..(r + n) * d];
-                let mb = &mut mixed.data_mut()[r * d..(r + n) * d];
+                let (qr, kr) = (item * m, item * n);
+                let qb = &q.data()[qr * d..(qr + m) * d];
+                let kb = &k.data()[kr * d..(kr + n) * d];
+                let vb = &v.data()[kr * d..(kr + n) * d];
+                let mb = &mut mixed.data_mut()[qr * d..(qr + m) * d];
                 let ab = attn
                     .as_deref_mut()
-                    .map(|a| &mut a.data_mut()[r * n..(r + n) * n]);
-                // SAFETY: AVX2+FMA were detected above. `attention_item_rows`
-                // and the `mixed`/`attn` shape asserts make every slice here
-                // exactly `n * d` (or `n * n` for the cache) long, and
-                // `score` holds `QUERY_BLOCK * n`, so every block the kernel
-                // addresses lies inside the slice it was given.
+                    .map(|a| &mut a.data_mut()[qr * n..(qr + m) * n]);
+                // SAFETY: AVX2+FMA were detected above.
+                // `attention_forward_rows` and the `mixed`/`attn` shape
+                // asserts make `qb` and `mb` exactly `m * d` long, `kb` and
+                // `vb` `n * d` and `ab` `m * n`, and `score` holds
+                // `QUERY_BLOCK * n`, so every block the kernel addresses lies
+                // inside the slice it was given.
                 unsafe {
-                    avx::attention_forward_item(qb, kb, vb, n, d, scale, ab, mb, score.data_mut());
+                    avx::attention_forward_item(
+                        qb,
+                        kb,
+                        vb,
+                        m,
+                        n,
+                        d,
+                        scale,
+                        ab,
+                        mb,
+                        score.data_mut(),
+                    );
                 }
             }
             scratch.recycle(score);
@@ -889,25 +902,26 @@ mod avx {
     /// between the score, softmax and mix stages.
     pub const QUERY_BLOCK: usize = 4;
 
-    /// The query-blocked attention forward for one batch item. Per block of
-    /// [`QUERY_BLOCK`] query rows: fill the block's scaled score rows (one
-    /// pass over `K`), softmax each row in place, then mix them with
-    /// [`gemm`]'s 4-row micro-kernel (one pass over `V`). A tail of
-    /// `n % QUERY_BLOCK` rows runs one row at a time. Every score keeps
-    /// [`dot`]'s arithmetic and every mixed element the ascending-key FMA
-    /// chain, so a row's output does not depend on the block it lands in.
-    /// Scores land in `attn_rows` (the stacked training cache) when present,
-    /// otherwise in `score_buf`.
+    /// The query-blocked attention forward for one batch item of `m` query
+    /// rows against `n` key/value rows. Per block of [`QUERY_BLOCK`] query
+    /// rows: fill the block's scaled score rows (one pass over `K`), softmax
+    /// each row in place, then mix them with [`gemm`]'s 4-row micro-kernel
+    /// (one pass over `V`). A tail of `m % QUERY_BLOCK` rows runs one row at
+    /// a time. Every score keeps [`dot`]'s arithmetic and every mixed element
+    /// the ascending-key FMA chain, so a row's output depends neither on the
+    /// block it lands in nor on `m`. Scores land in `attn_rows` (the stacked
+    /// training cache) when present, otherwise in `score_buf`.
     ///
     /// # Safety
     ///
-    /// AVX2 and FMA must be available. `q`, `k`, `v` and `mixed` must hold
-    /// at least `n * d` values, `attn_rows` (when present) `n * n`, and
-    /// `score_buf` `QUERY_BLOCK.min(n) * n`.
+    /// AVX2 and FMA must be available. `q` and `mixed` must hold at least
+    /// `m * d` values, `k` and `v` `n * d`, `attn_rows` (when present)
+    /// `m * n`, and `score_buf` `QUERY_BLOCK.min(m) * n`.
     pub unsafe fn attention_forward_item(
         q: &[f32],
         k: &[f32],
         v: &[f32],
+        m: usize,
         n: usize,
         d: usize,
         scale: f32,
@@ -915,12 +929,12 @@ mod avx {
         mixed: &mut [f32],
         score_buf: &mut [f32],
     ) {
-        debug_assert!(q.len() >= n * d && k.len() >= n * d && v.len() >= n * d);
-        debug_assert!(mixed.len() >= n * d && score_buf.len() >= QUERY_BLOCK.min(n) * n);
-        debug_assert!(attn_rows.as_deref().is_none_or(|a| a.len() >= n * n));
+        debug_assert!(q.len() >= m * d && k.len() >= n * d && v.len() >= n * d);
+        debug_assert!(mixed.len() >= m * d && score_buf.len() >= QUERY_BLOCK.min(m) * n);
+        debug_assert!(attn_rows.as_deref().is_none_or(|a| a.len() >= m * n));
         let mut i0 = 0;
-        while i0 < n {
-            let rows = QUERY_BLOCK.min(n - i0);
+        while i0 < m {
+            let rows = QUERY_BLOCK.min(m - i0);
             let s: *mut f32 = match attn_rows.as_deref_mut() {
                 Some(a) => a.as_mut_ptr().add(i0 * n),
                 None => score_buf.as_mut_ptr(),

@@ -100,16 +100,51 @@ impl SelfAttention {
         self.cache.as_ref().map(|c| &c.attn)
     }
 
-    /// Shared core of [`Layer::forward_batch`] (`cache_for_backward =
+    /// Grouped inference forward: `input` holds only each item's `m`
+    /// distinct rows (`[items, m]`), and `row_groups` maps every one of the
+    /// item's `n` rows, in row order, to the input row it equals
+    /// (`items * n` entries, each below `m`).
+    ///
+    /// Q, K and V are projected on the `m` rows; K and V are then copied out
+    /// to all `n` rows in row order, so each of the `m` query rows still
+    /// attends over every one of the item's `n` keys through
+    /// [`KernelBackend::attention_forward_fused`] with `m` query rows. Every
+    /// kernel on the way computes an output row from its own input row
+    /// alone, so output row `g` is bit-identical to what
+    /// [`Layer::forward_batch`] on the full `[items, n]` batch yields for
+    /// every row mapped to `g` — rows that repeat are simply computed once.
+    /// Padding rows (input rows no entry maps to) are computed but attend
+    /// like any other query row and influence nothing. Inference only: the
+    /// backward cache is left untouched.
+    ///
+    /// [`KernelBackend::attention_forward_fused`]: crate::KernelBackend::attention_forward_fused
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_groups` does not split into `items` equal blocks or
+    /// names a row outside its item's `m` rows.
+    pub fn forward_batch_grouped(
+        &mut self,
+        input: &Batch,
+        row_groups: &[usize],
+        scratch: &mut Scratch,
+    ) -> Batch {
+        self.forward_batch_impl(input, Some(row_groups), scratch, false)
+    }
+
+    /// Shared core of [`Layer::forward_batch`] and
+    /// [`SelfAttention::forward_batch_grouped`] (`cache_for_backward =
     /// false`: every intermediate is recycled, no cache touched) and
     /// [`Layer::forward_batch_train`] (`true`: the projections, per-item
     /// attention blocks and mixed values become the batch-shaped training
-    /// cache). One implementation keeps the two paths bit-identical by
-    /// construction — the equivalence the batched DQN update's TD errors
-    /// rely on.
+    /// cache). `row_groups` is `None` for the identity grouping, where the
+    /// keys are the queries' own rows. One implementation keeps every path
+    /// bit-identical by construction — the equivalence the batched DQN
+    /// update's TD errors and the grouped Q-network inference rely on.
     fn forward_batch_impl(
         &mut self,
         input: &Batch,
+        row_groups: Option<&[usize]>,
         scratch: &mut Scratch,
         cache_for_backward: bool,
     ) -> Batch {
@@ -118,6 +153,7 @@ impl SelfAttention {
         // must leave the cache alone — it may be bracketed by a
         // `forward_batch_train`/`backward_batch` pair.
         if cache_for_backward {
+            debug_assert!(row_groups.is_none(), "training never groups rows");
             if let Some(old) = self.batch_cache.take() {
                 scratch.recycle(old.input);
                 scratch.recycle(old.q);
@@ -129,20 +165,46 @@ impl SelfAttention {
         }
         let be = scratch.backend();
         let b = input.items();
-        let n = input.rows_per_item();
-        let rows = b * n;
+        let m = input.rows_per_item();
+        let rows = b * m;
         let mut q = scratch.take(rows, self.attn_dim);
         be.matmul_into(input.matrix(), &self.wq.value, &mut q);
         let mut k = scratch.take(rows, self.attn_dim);
         be.matmul_into(input.matrix(), &self.wk.value, &mut k);
         let mut v = scratch.take(rows, self.attn_dim);
         be.matmul_into(input.matrix(), &self.wv.value, &mut v);
+        // Grouped keys: copy each distinct row's K and V out to every row
+        // it stands for, in row order, so the scores, softmax and mix below
+        // reduce over all `n` keys exactly as the ungrouped pass does.
+        let n = match row_groups {
+            None => m,
+            Some(groups) => {
+                assert_eq!(
+                    groups.len() % b,
+                    0,
+                    "{} row groups do not split into {b} items",
+                    groups.len()
+                );
+                let n = groups.len() / b;
+                let mut k_all = scratch.take(b * n, self.attn_dim);
+                let mut v_all = scratch.take(b * n, self.attn_dim);
+                for (row, &g) in groups.iter().enumerate() {
+                    assert!(g < m, "row group {g} out of {m} rows per item");
+                    let src = row / n * m + g;
+                    k_all.row_mut(row).copy_from_slice(k.row(src));
+                    v_all.row_mut(row).copy_from_slice(v.row(src));
+                }
+                scratch.recycle(std::mem::replace(&mut k, k_all));
+                scratch.recycle(std::mem::replace(&mut v, v_all));
+                n
+            }
+        };
 
         let scale = 1.0 / (self.attn_dim as f32).sqrt();
         // The stacked attention blocks are only materialised when they will
         // be cached, so the inference path pays nothing for the seam. The
         // block-diagonal score/softmax/mix stage is one fused backend call
-        // over the stacked `[b*n, ·]` projections.
+        // over the stacked `[b*m, ·]` queries and `[b*n, ·]` keys.
         let mut attn = if cache_for_backward {
             Some(scratch.take(rows, n))
         } else {
@@ -150,7 +212,7 @@ impl SelfAttention {
         };
         let mut mixed = scratch.take(rows, self.attn_dim);
         be.attention_forward_fused(&q, &k, &v, b, scale, attn.as_mut(), &mut mixed, scratch);
-        let mut out = Batch::take(scratch, b, n, self.wo.value.cols());
+        let mut out = Batch::take(scratch, b, m, self.wo.value.cols());
         be.matmul_into(&mixed, &self.wo.value, out.matrix_mut());
 
         match attn {
@@ -229,14 +291,14 @@ impl Layer for SelfAttention {
         // output is bit-identical to [`SelfAttention::forward`] on that item
         // alone — not approximately equal. The backward cache (including
         // `last_attention`) is left untouched.
-        self.forward_batch_impl(input, scratch, false)
+        self.forward_batch_impl(input, None, scratch, false)
     }
 
     fn forward_batch_train(&mut self, input: &Batch, scratch: &mut Scratch) -> Batch {
         // The shared core guarantees this is bit-for-bit the `forward_batch`
         // computation; the only difference is that the intermediates are
         // kept as the batch-shaped training cache instead of being recycled.
-        self.forward_batch_impl(input, scratch, true)
+        self.forward_batch_impl(input, None, scratch, true)
     }
 
     fn backward_batch(&mut self, grad_output: &Batch, scratch: &mut Scratch) -> Batch {

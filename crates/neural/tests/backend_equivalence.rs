@@ -67,6 +67,118 @@ fn deterministic(rows: usize, cols: usize, seed: u64) -> Matrix {
     m
 }
 
+/// The fused attention forward with `m` query rows per item against `n`
+/// key/value rows (grouped inference's shape), on one backend: its output
+/// matches the reference backend within the backend's declared tolerance,
+/// each query row's scores and mixed values are bit-identical to the same
+/// row of the square pass on the same `K` and `V` (the query rows are
+/// drawn out of order, so a row lands in a different query block than in
+/// the square pass), and the inference form is bit-identical to the
+/// training form, whose score cache is `[items * m, n]`.
+fn check_grouped_attention(be: BackendRef, items: usize, m: usize, n: usize, d: usize) {
+    let shape = format!("{} items={items} m={m} n={n} d={d}", be.name());
+    let seed = (items * 100_000 + m * 1_000 + n) as u64;
+    let q_all = deterministic(items * n, d, seed);
+    let k = deterministic(items * n, d, seed + 1);
+    let v = deterministic(items * n, d, seed + 2);
+    let scale = 1.0 / (d as f32).sqrt();
+    // Row j of item i's grouped queries is its square row `picks[j]`.
+    let picks: Vec<usize> = (0..m).map(|j| (j * 7 + 1) % n).collect();
+    let mut q = Matrix::zeros(items * m, d);
+    for i in 0..items {
+        for (j, &r) in picks.iter().enumerate() {
+            q.row_mut(i * m + j).copy_from_slice(q_all.row(i * n + r));
+        }
+    }
+    let mut scratch = Scratch::with_backend(be);
+    let mut run = |q: &Matrix, rows: usize, cache: bool| {
+        let mut attn = cache.then(|| Matrix::zeros(items * rows, n));
+        let mut mixed = Matrix::zeros(items * rows, d);
+        be.attention_forward_fused(
+            q,
+            &k,
+            &v,
+            items,
+            scale,
+            attn.as_mut(),
+            &mut mixed,
+            &mut scratch,
+        );
+        (attn, mixed)
+    };
+    let (square_attn, square_mixed) = run(&q_all, n, true);
+    let (attn, mixed) = run(&q, m, true);
+    let attn = attn.expect("training form caches scores");
+    let (_, inference) = run(&q, m, false);
+    let square_attn = square_attn.expect("training form caches scores");
+
+    let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(
+        bits(inference.data()),
+        bits(mixed.data()),
+        "inference vs training {shape}"
+    );
+    for i in 0..items {
+        for (j, &r) in picks.iter().enumerate() {
+            let (row, square) = (i * m + j, i * n + r);
+            assert_eq!(
+                bits(attn.row(row)),
+                bits(square_attn.row(square)),
+                "scores row {row} vs square row {square}, {shape}"
+            );
+            assert_eq!(
+                bits(mixed.row(row)),
+                bits(square_mixed.row(square)),
+                "mixed row {row} vs square row {square}, {shape}"
+            );
+        }
+    }
+
+    let mut want_attn = Matrix::zeros(items * m, n);
+    let mut want_mixed = Matrix::zeros(items * m, d);
+    ReferenceBackend.attention_forward_fused(
+        &q,
+        &k,
+        &v,
+        items,
+        scale,
+        Some(&mut want_attn),
+        &mut want_mixed,
+        &mut Scratch::with_backend(&ReferenceBackend),
+    );
+    assert_close(
+        be.tolerance(),
+        &attn,
+        &want_attn,
+        &format!("scores {shape}"),
+    );
+    assert_close(
+        be.tolerance(),
+        &mixed,
+        &want_mixed,
+        &format!("mixed {shape}"),
+    );
+}
+
+#[test]
+fn grouped_attention_rows_match_the_square_pass_on_every_backend() {
+    for be in all_backends() {
+        for n in [5usize, 33] {
+            for m in [1usize, 3, 4, 5] {
+                check_grouped_attention(*be, 3, m, n, 16);
+            }
+        }
+    }
+}
+
+#[test]
+fn grouped_attention_rows_match_the_square_pass_at_registry_1000_scale() {
+    // Four distinct rows of a 1003-node state at the attention width.
+    for be in all_backends() {
+        check_grouped_attention(*be, 1, 4, 1003, 64);
+    }
+}
+
 #[cfg(feature = "backend-simd")]
 mod simd {
     use super::*;

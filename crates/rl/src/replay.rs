@@ -100,6 +100,10 @@ impl SumTree {
 pub struct PrioritizedReplay<T> {
     capacity: usize,
     alpha: f64,
+    /// Ring slots, filled on first push: a fresh ring holds no slot storage
+    /// (agents that only evaluate or serve never pay for it), and slots past
+    /// the filled prefix read as empty. [`PrioritizedReplay::from_parts`]
+    /// restores every slot, occupied or not.
     items: Vec<Option<T>>,
     tree: SumTree,
     next_slot: usize,
@@ -132,7 +136,7 @@ impl<T: Clone> PrioritizedReplay<T> {
         Ok(Self {
             capacity,
             alpha,
-            items: vec![None; capacity],
+            items: Vec::new(),
             tree: SumTree::new(capacity),
             next_slot: 0,
             len: 0,
@@ -161,7 +165,15 @@ impl<T: Clone> PrioritizedReplay<T> {
     /// whatever external storage (e.g. an arena slot) it referenced.
     pub fn push(&mut self, item: T) -> Option<T> {
         let slot = self.next_slot;
-        let evicted = self.items[slot].replace(item);
+        // The cursor never runs ahead of the filled prefix: it only reaches
+        // `items.len()` while the ring fills for the first time.
+        let evicted = match self.items.get_mut(slot) {
+            Some(stored) => stored.replace(item),
+            None => {
+                self.items.push(Some(item));
+                None
+            }
+        };
         self.tree.set(slot, self.max_priority.powf(self.alpha));
         self.next_slot = (self.next_slot + 1) % self.capacity;
         self.len = (self.len + 1).min(self.capacity);
@@ -187,7 +199,7 @@ impl<T: Clone> PrioritizedReplay<T> {
             let target = rng.gen_range(0.0..total);
             let mut index = self.tree.find(target);
             // Guard against landing on an empty slot due to rounding.
-            if self.items[index].is_none() {
+            if self.slot(index).is_none() {
                 index = rng.gen_range(0..self.len);
             }
             let priority = self.tree.get(index).max(1e-12);
@@ -213,9 +225,7 @@ impl<T: Clone> PrioritizedReplay<T> {
     /// Panics if the slot is empty (an index not returned by
     /// [`PrioritizedReplay::sample_indices`]).
     pub fn get(&self, index: usize) -> &T {
-        self.items[index]
-            .as_ref()
-            .expect("sampled index must hold an item")
+        self.slot(index).expect("sampled index must hold an item")
     }
 
     /// Updates the priority of a stored transition (typically to its most
@@ -245,7 +255,7 @@ impl<T: Clone> PrioritizedReplay<T> {
     /// [`PrioritizedReplay::get`] which panics on empty slots. Checkpoint
     /// encoding and invariant sweeps walk every slot in `0..capacity`.
     pub fn slot(&self, index: usize) -> Option<&T> {
-        self.items[index].as_ref()
+        self.items.get(index).and_then(Option::as_ref)
     }
 
     /// The sum-tree leaf value (already α-exponentiated) at a slot.
@@ -324,6 +334,17 @@ mod tests {
         }
         assert_eq!(buf.len(), 4);
         assert_eq!(buf.capacity(), 4);
+    }
+
+    #[test]
+    fn a_fresh_ring_holds_no_slot_storage() {
+        let mut buf: PrioritizedReplay<[u64; 5]> = PrioritizedReplay::new(1 << 17, 0.6);
+        assert_eq!(buf.items.capacity(), 0, "no slot is allocated up front");
+        assert!((0..buf.capacity()).all(|i| buf.slot(i).is_none()));
+        buf.push([7; 5]);
+        assert_eq!(buf.items.len(), 1, "slots fill on first push");
+        assert_eq!(buf.slot(0), Some(&[7; 5]));
+        assert_eq!(buf.slot(1), None);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! with greedy-action transcripts identical except where the reference
 //! decision itself sits inside the tolerance band.
 
-use acso_bench::episode_states;
-use acso_core::agent::{AttentionQNet, BaselineConvQNet, QNetwork};
+use acso_bench::{episode_states, grouping_edge_states, trajectory_states};
+use acso_core::agent::{AttentionQNet, QNetwork};
+use acso_core::{ActionSpace, ScenarioRegistry, StateFeatures};
 use ics_net::TopologySpec;
 use neural::Scratch;
 
@@ -36,9 +37,91 @@ fn backend_lookup_rejects_unknown_names() {
     );
 }
 
+/// Grouped inference is exact on every registered backend: the attention
+/// net's `q_values_batch`, which runs each state's distinct node rows once,
+/// returns the same Q-value bits as the ungrouped training forward
+/// (`q_values_batch_train`, in batches of three) and as solo `q_values`. The
+/// inputs are three states from the first 24 h of `registry-1000` (1003
+/// nodes, a handful of distinct rows per state; an ungrouped forward at
+/// that size costs seconds in a debug build), a `paper-full` trajectory,
+/// and hand-built edge states; batches of one and three give the items of
+/// a batch different group counts.
+#[test]
+fn grouped_attention_inference_is_bit_identical_to_the_ungrouped_forwards() {
+    let xl = ScenarioRegistry::builtin()
+        .get("registry-1000")
+        .expect("registry-1000 is built in")
+        .config
+        .clone()
+        .with_max_time(24);
+    let (xl, xl_space) = trajectory_states(xl, 3, 8);
+    // Grouping must actually engage: a registry-1000 state has far fewer
+    // distinct node rows than nodes.
+    for state in &xl {
+        let distinct: std::collections::HashSet<Vec<u32>> = (0..state.node_count())
+            .map(|r| state.nodes.row(r).iter().map(|v| v.to_bits()).collect())
+            .collect();
+        assert!(
+            distinct.len() * 10 < state.node_count(),
+            "{} distinct rows",
+            distinct.len()
+        );
+    }
+    let (paper, paper_space) = episode_states(TopologySpec::paper_full(), 12);
+    let edges = grouping_edge_states(&paper[5]);
+    let inputs = [
+        ("registry-1000", xl, xl_space),
+        ("paper-full", paper, paper_space.clone()),
+        ("edge states", edges, paper_space),
+    ];
+    for backend in neural::backend::all_backends() {
+        for (label, states, space) in &inputs {
+            let label = format!("{label} on {}", backend.name());
+            assert_grouping_exact(states, space, *backend, &label);
+        }
+    }
+}
+
+fn assert_grouping_exact(
+    states: &[StateFeatures],
+    space: &ActionSpace,
+    backend: neural::backend::BackendRef,
+    label: &str,
+) {
+    let bits = |q: &[f32]| q.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let mut net = AttentionQNet::new(space.clone(), 7);
+    net.set_kernel_backend(backend);
+    let mut ungrouped = Vec::with_capacity(states.len());
+    for chunk in states.chunks(3) {
+        let refs: Vec<&StateFeatures> = chunk.iter().collect();
+        ungrouped.extend(net.q_values_batch_train(&refs).iter().map(|q| bits(q)));
+    }
+    for (i, state) in states.iter().enumerate() {
+        assert_eq!(
+            bits(&net.q_values(state)),
+            ungrouped[i],
+            "{label}: state {i}: solo vs training forward"
+        );
+    }
+    for size in [1, 3] {
+        for (c, chunk) in states.chunks(size).enumerate() {
+            let refs: Vec<&StateFeatures> = chunk.iter().collect();
+            for (j, q) in net.q_values_batch(&refs).iter().enumerate() {
+                let i = c * size + j;
+                assert_eq!(
+                    bits(q),
+                    ungrouped[i],
+                    "{label}: state {i}: grouped batch of {size} vs training forward"
+                );
+            }
+        }
+    }
+}
+
 #[cfg(feature = "backend-simd")]
 mod simd {
     use super::*;
+    use acso_core::agent::BaselineConvQNet;
     use neural::Tolerance;
 
     /// States per network in the transcript comparison. Enough decision

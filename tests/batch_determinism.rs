@@ -10,12 +10,14 @@
 //! the surrounding CI job sets; the `batch-determinism` CI step additionally
 //! exercises the env-var routing end to end through the `table2` binary.
 
+use acso_core::agent::{AcsoAgent, AgentConfig, AttentionQNet};
 use acso_core::baselines::{DbnExpertPolicy, PlaybookPolicy, SemiRandomPolicy};
 use acso_core::rollout::{rollout_serial, RolloutPlan, SyncBatchEngine};
 use acso_core::train::{train_attention_acso, TrainConfig};
-use acso_core::{DefenderPolicy, ScenarioRegistry};
+use acso_core::{ActionSpace, DefenderPolicy, ScenarioRegistry};
+use dbn::learn::{learn_model, LearnConfig};
 use ics_sim::metrics::EpisodeMetrics;
-use ics_sim::SimConfig;
+use ics_sim::{IcsEnvironment, SimConfig};
 
 const EPISODES: usize = 4;
 const MAX_TIME: u64 = 50;
@@ -29,7 +31,7 @@ const ENGINE_MATRIX: &[(usize, usize)] = &[(1, 1), (16, 4)];
 
 fn plan(sim: &SimConfig, threads: usize) -> RolloutPlan {
     RolloutPlan {
-        sim: sim.clone().with_max_time(MAX_TIME),
+        sim: sim.clone(),
         episodes: EPISODES,
         seed: 29,
         threads,
@@ -97,12 +99,40 @@ fn batched_transcripts_match_serial_for_every_scenario_and_policy() {
     }
 }
 
+/// The ~1000-host `registry-1000` scenario with the ACSO defender, whose
+/// Q-network groups each state's repeated node rows at inference: lockstep
+/// batches whose states carry different group counts (each padded to the
+/// batch's largest) must keep every transcript bit-identical to the serial
+/// engine. The property is structural, so the network is untrained, and
+/// 24 h episodes keep a debug-mode run short.
+#[test]
+fn xl_acso_lockstep_transcripts_match_serial() {
+    let sim = ScenarioRegistry::builtin()
+        .get("registry-1000")
+        .expect("registry-1000 is built in")
+        .config
+        .clone()
+        .with_max_time(24);
+    let model = learn_model(&LearnConfig {
+        episodes: 1,
+        seed: 0,
+        sim: sim.clone(),
+    });
+    let env = IcsEnvironment::new(sim.clone());
+    let network = AttentionQNet::new(ActionSpace::new(env.topology()), 3);
+    let mut agent = AcsoAgent::new(env.topology(), model, network, AgentConfig::smoke());
+    agent.set_explore(false);
+    assert_engine_matrix("registry-1000", "ACSO", &sim, || {
+        Box::new(agent.eval_clone()) as Box<dyn DefenderPolicy>
+    });
+}
+
 #[test]
 fn env_routed_evaluation_matches_the_explicit_engines() {
     // The `ACSO_BATCH` routing in the evaluation pipeline must select an
     // engine, never change results: compare the two engines' outputs through
     // the public evaluation entry point's building blocks.
-    let sim = SimConfig::tiny().with_max_time(80);
+    let sim = SimConfig::tiny().with_max_time(MAX_TIME);
     let serial = rollout_serial(&mut PlaybookPolicy::new(), &plan(&sim, 1));
     let engine = SyncBatchEngine::from_env().unwrap_or(SyncBatchEngine::new(8));
     let batched = engine.rollout(&plan(&sim, 4), &|| {
