@@ -100,6 +100,9 @@ impl Layer for Dense {
     // row-wise, so the solo forward on the stacked matrix is bit-identical
     // per item and its cached input is exactly the stacked batch cache.
 
+    /// Flushes the weight-gradient accumulator once per item, whatever the
+    /// item's row count, so the accumulation is bit-identical on every
+    /// backend to a solo [`Layer::backward`] on each item in item order.
     fn backward_batch(&mut self, grad_output: &Batch, scratch: &mut Scratch) -> Batch {
         let be = scratch.backend();
         let input = self
@@ -111,25 +114,20 @@ impl Layer for Dense {
             grad_output.matrix().rows(),
             "dense batch gradient row mismatch"
         );
+        // Flush the local tile accumulator once per item, at every row
+        // count, so the summation order matches a serial per-sample backward
+        // bit for bit. One stacked call over single-row items would chain
+        // every item's term through one accumulator, which a fused
+        // multiply-add backend rounds differently from a flush per item.
         let rows_per_item = grad_output.rows_per_item();
-        if rows_per_item == 1 {
-            // Each item contributes a single rank-1 term, so the stacked
-            // kernel's ascending-k accumulation is literally the serial
-            // per-sample sequence of additions — one fast tiled call.
-            be.add_matmul_transa(&mut self.weight.grad, input, grad_output.matrix());
-        } else {
-            // Multi-row items: flush the local tile accumulator once per
-            // item so the summation order matches a serial per-sample
-            // backward bit for bit.
-            for item in 0..grad_output.items() {
-                be.add_matmul_transa_blocks(
-                    &mut self.weight.grad,
-                    input,
-                    grad_output.matrix(),
-                    item * rows_per_item,
-                    rows_per_item,
-                );
-            }
+        for item in 0..grad_output.items() {
+            be.add_matmul_transa_blocks(
+                &mut self.weight.grad,
+                input,
+                grad_output.matrix(),
+                item * rows_per_item,
+                rows_per_item,
+            );
         }
         // Bias gradients accumulate row by row directly into the parameter
         // (no local accumulator), so one stacked call is already the serial

@@ -101,11 +101,12 @@ pub trait Layer: Send {
     /// accumulation, is bit-identical to running solo
     /// `forward`/`backward` on each item in order — which is what lets the
     /// batched DQN update reproduce serial-update training transcripts
-    /// exactly. The default serves row-wise layers whose per-item gradient
-    /// contribution is a single row (dense with flat items, element-wise
-    /// activations at any shape); layers with multi-row items flush their
-    /// parameter-gradient accumulator once per item to preserve the serial
-    /// summation order (see [`Matrix::add_matmul_transa_blocks`]).
+    /// exactly. The default serves layers without a parameter-gradient
+    /// accumulator (element-wise activations at any shape); layers with one
+    /// flush it once per item, whatever the item's row count, to preserve
+    /// the serial summation order (see [`Matrix::add_matmul_transa_blocks`]):
+    /// a backend that fuses the running sum into multiply-adds rounds one
+    /// chain over every item differently from one chain per item.
     ///
     /// # Panics
     ///

@@ -87,9 +87,8 @@ fn assert_training_matches_serial(
 
 #[test]
 fn dense_batched_training_is_bit_identical_to_serial() {
-    // Multi-row items (the attention net's per-node shape) take the
-    // per-item-flush path; flat items (the baseline-net shape) take the
-    // single stacked kernel call.
+    // Multi-row items (the attention net's per-node shape) and flat items
+    // (the baseline-net shape) both flush once per item.
     for (items, rows, seed) in [(5usize, 3usize, 1u64), (32, 1, 2), (1, 4, 3)] {
         let mut batched = Dense::new(6, 4, 9);
         let mut solo = Dense::new(6, 4, 9);
@@ -105,10 +104,19 @@ fn dense_batched_training_is_bit_identical_to_serial() {
 #[test]
 fn dense_wide_output_exercises_the_ragged_gradient_tail() {
     // 37 output columns: the per-item gradient kernel's 32-lane tile plus a
-    // ragged tail, both of which must flush per item.
-    let mut batched = Dense::new(5, 37, 4);
-    let mut solo = Dense::new(5, 37, 4);
-    assert_training_matches_serial(&mut batched, &mut solo, &stacked(4, 3, 5, 5), 6);
+    // ragged tail, both of which must flush per item. Flat items too: a
+    // fused multiply-add backend's vector lanes would round one stacked
+    // chain over every item differently from one flush per item.
+    for (items, rows, seed) in [(4usize, 3usize, 5u64), (16, 1, 7)] {
+        let mut batched = Dense::new(5, 37, 4);
+        let mut solo = Dense::new(5, 37, 4);
+        assert_training_matches_serial(
+            &mut batched,
+            &mut solo,
+            &stacked(items, rows, 5, seed),
+            seed.wrapping_add(1),
+        );
+    }
 }
 
 #[test]
