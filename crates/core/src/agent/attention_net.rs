@@ -35,25 +35,10 @@ pub struct AttentionQNet {
     attn1: SelfAttention,
     attn2: SelfAttention,
 
-    host_head1: Dense,
-    host_act: Activation,
-    host_head2: Dense,
-    host_out: Activation,
-
-    server_head1: Dense,
-    server_act: Activation,
-    server_head2: Dense,
-    server_out: Activation,
-
-    plc_head1: Dense,
-    plc_act: Activation,
-    plc_head2: Dense,
-    plc_out: Activation,
-
-    noact_head1: Dense,
-    noact_act: Activation,
-    noact_head2: Dense,
-    noact_out: Activation,
+    host_head: Head,
+    server_head: Head,
+    plc_head: Head,
+    noact_head: Head,
 
     scratch: Scratch,
     cache: Option<ForwardCache>,
@@ -70,17 +55,27 @@ struct ForwardCache {
     server_rows: Vec<usize>,
 }
 
-/// Routing cache of the batched training forward: every numeric
-/// intermediate lives in the layers' own batch caches, so the network only
-/// has to remember the minibatch shape and the (topology-shared) head
-/// routing to drive the batched backward's gathers and scatters.
+/// Cache of the batched training forward. The embedding, attention and
+/// no-action head intermediates live in the layers' own batch caches. The
+/// host, server and PLC heads run their inference forward and cache
+/// nothing: the network keeps their input rows instead, from which
+/// [`QNetwork::backward_batch`] re-runs each head on the rows the loss
+/// gradient reaches (see [`Head::backward_rows`]).
 #[derive(Debug, Clone)]
 struct BatchForwardCache {
     items: usize,
     node_count: usize,
-    plc_count: usize,
     host_rows: Vec<usize>,
     server_rows: Vec<usize>,
+    /// `[items * hosts, head_in]`: every host's head input row.
+    host_in: Matrix,
+    /// `[items * servers, head_in]`: every server's head input row.
+    server_in: Matrix,
+    /// `[items * plc.width, plc_in]`: one head input row per distinct PLC
+    /// status row of each state.
+    plc_in: Matrix,
+    /// Each state's PLCs → their `plc_in` rows.
+    plc: Grouping,
 }
 
 impl AttentionQNet {
@@ -100,22 +95,10 @@ impl AttentionQNet {
             embed_act3: Activation::relu(),
             attn1: SelfAttention::new(EMBED_OUT, CTX_DIM, CTX_DIM, seed.wrapping_add(4)),
             attn2: SelfAttention::new(CTX_DIM, CTX_DIM, CTX_DIM, seed.wrapping_add(5)),
-            host_head1: Dense::new(head_in, HEAD_HIDDEN, seed.wrapping_add(6)),
-            host_act: Activation::relu(),
-            host_head2: Dense::new(HEAD_HIDDEN, ACTIONS_PER_NODE, seed.wrapping_add(7)),
-            host_out: Activation::tanh(),
-            server_head1: Dense::new(head_in, HEAD_HIDDEN, seed.wrapping_add(8)),
-            server_act: Activation::relu(),
-            server_head2: Dense::new(HEAD_HIDDEN, ACTIONS_PER_NODE, seed.wrapping_add(9)),
-            server_out: Activation::tanh(),
-            plc_head1: Dense::new(plc_head_in, HEAD_HIDDEN, seed.wrapping_add(10)),
-            plc_act: Activation::relu(),
-            plc_head2: Dense::new(HEAD_HIDDEN, ACTIONS_PER_PLC, seed.wrapping_add(11)),
-            plc_out: Activation::tanh(),
-            noact_head1: Dense::new(head_in, HEAD_HIDDEN, seed.wrapping_add(12)),
-            noact_act: Activation::relu(),
-            noact_head2: Dense::new(HEAD_HIDDEN, 1, seed.wrapping_add(13)),
-            noact_out: Activation::tanh(),
+            host_head: Head::new(head_in, ACTIONS_PER_NODE, seed.wrapping_add(6)),
+            server_head: Head::new(head_in, ACTIONS_PER_NODE, seed.wrapping_add(8)),
+            plc_head: Head::new(plc_head_in, ACTIONS_PER_PLC, seed.wrapping_add(10)),
+            noact_head: Head::new(head_in, 1, seed.wrapping_add(12)),
             scratch: Scratch::new(),
             cache: None,
             batch_cache: None,
@@ -144,8 +127,9 @@ impl AttentionQNet {
 
     /// Shared core of [`QNetwork::q_values_batch`] (`train = false`:
     /// inference, no cache touched) and
-    /// [`QNetwork::q_values_batch_train`] (`train = true`: the layers write
-    /// their batch caches and the head-routing cache is refreshed for
+    /// [`QNetwork::q_values_batch_train`] (`train = true`: the embedding,
+    /// attention and no-action layers write their batch caches, and the
+    /// network keeps the other heads' input rows for
     /// [`QNetwork::backward_batch`]). One implementation of the stacked
     /// pass keeps the two paths bit-identical by construction.
     ///
@@ -166,9 +150,15 @@ impl AttentionQNet {
     /// Q-values are bit-identical to the ungrouped pass on every backend.
     /// Grouping is chosen from the input alone: it applies when `m < n`,
     /// and a batch whose largest group count is `n` runs the identity
-    /// grouping, which is exactly the ungrouped pass. Training always runs
-    /// the identity grouping, so its batch caches, and the gradient sums
-    /// `backward_batch` forms from them, keep their shapes and order.
+    /// grouping, which is exactly the ungrouped pass.
+    ///
+    /// **Training.** The embedding and both attention layers run the
+    /// identity grouping, so their batch caches, and the gradient sums
+    /// `backward_batch` forms from them, keep their shapes and order. The
+    /// host, server and PLC heads run their inference forward exactly as
+    /// above, PLC rows grouped, and cache nothing: the loss reads one
+    /// Q-value per state, so `backward_batch` re-runs each of these heads
+    /// on the few rows its gradient reaches, from the input rows kept here.
     fn q_values_batch_impl(&mut self, features: &[&StateFeatures], train: bool) -> Vec<Vec<f32>> {
         if features.is_empty() {
             return Vec::new();
@@ -257,30 +247,25 @@ impl AttentionQNet {
             }
             input
         };
-        let q_host = (!f0.host_rows.is_empty()).then(|| {
-            let input = head_input(&g.host, &f0.host_rows, s);
-            head_chain_batch(
-                &mut self.host_head1,
-                &mut self.host_act,
-                &mut self.host_head2,
-                &mut self.host_out,
-                input,
-                s,
-                train,
-            )
-        });
-        let q_server = (!f0.server_rows.is_empty()).then(|| {
-            let input = head_input(&g.server, &f0.server_rows, s);
-            head_chain_batch(
-                &mut self.server_head1,
-                &mut self.server_act,
-                &mut self.server_head2,
-                &mut self.server_out,
-                input,
-                s,
-                train,
-            )
-        });
+        // Training keeps each of these heads' input rows for the backward;
+        // inference hands them straight back to the pool.
+        let keep = |input: Batch, s: &mut Scratch| {
+            let input = input.into_matrix();
+            if train {
+                Some(input)
+            } else {
+                s.recycle(input);
+                None
+            }
+        };
+        let host_in = head_input(&g.host, &f0.host_rows, s);
+        let q_host =
+            (!f0.host_rows.is_empty()).then(|| self.host_head.forward_batch(&host_in, s, false));
+        let host_in = keep(host_in, s);
+        let server_in = head_input(&g.server, &f0.server_rows, s);
+        let q_server = (!f0.server_rows.is_empty())
+            .then(|| self.server_head.forward_batch(&server_in, s, false));
+        let server_in = keep(server_in, s);
         s.recycle(ctx.into_matrix());
 
         // No-action value from each state's pooled context.
@@ -290,40 +275,21 @@ impl AttentionQNet {
             row[..CTX_DIM].copy_from_slice(mean_ctx.row(i));
             row[CTX_DIM..].copy_from_slice(f.plc_summary.row(0));
         }
-        let q_noact = head_chain_batch(
-            &mut self.noact_head1,
-            &mut self.noact_act,
-            &mut self.noact_head2,
-            &mut self.noact_out,
-            noact_in,
-            s,
-            train,
-        );
+        let q_noact = self.noact_head.forward_batch(&noact_in, s, train);
+        s.recycle(noact_in.into_matrix());
 
         // PLC head: one input row per distinct PLC status row of each
         // state, holding that status one-hot ++ the pooled context.
-        let q_plc = if p == 0 {
-            None
-        } else {
-            let width = g.plc.width;
-            let mut plc_in = Batch::take(s, b, width, PLC_FEATURE_DIM + CTX_DIM);
-            for (i, f) in features.iter().enumerate() {
-                for (row, plc) in g.plc.sources(i) {
-                    let dst = plc_in.matrix_mut().row_mut(i * width + row);
-                    dst[..PLC_FEATURE_DIM].copy_from_slice(f.plcs.row(plc));
-                    dst[PLC_FEATURE_DIM..].copy_from_slice(mean_ctx.row(i));
-                }
+        let mut plc_in = Batch::take(s, b, g.plc.width, PLC_FEATURE_DIM + CTX_DIM);
+        for (i, f) in features.iter().enumerate() {
+            for (row, plc) in g.plc.sources(i) {
+                let dst = plc_in.matrix_mut().row_mut(i * g.plc.width + row);
+                dst[..PLC_FEATURE_DIM].copy_from_slice(f.plcs.row(plc));
+                dst[PLC_FEATURE_DIM..].copy_from_slice(mean_ctx.row(i));
             }
-            Some(head_chain_batch(
-                &mut self.plc_head1,
-                &mut self.plc_act,
-                &mut self.plc_head2,
-                &mut self.plc_out,
-                plc_in,
-                s,
-                train,
-            ))
-        };
+        }
+        let q_plc = (p > 0).then(|| self.plc_head.forward_batch(&plc_in, s, false));
+        let plc_in = keep(plc_in, s);
         s.recycle(mean_ctx);
 
         // Assemble each state's flat Q-vector in action-space order, every
@@ -358,25 +324,36 @@ impl AttentionQNet {
             s.recycle(q.into_matrix());
         }
         s.recycle(q_noact.into_matrix());
-        self.groups = g;
 
-        if train {
-            // Refresh the batched routing cache, reusing its row-index buffers.
+        if let (Some(host_in), Some(server_in), Some(plc_in)) = (host_in, server_in, plc_in) {
+            // Training: refresh the cache, reusing its row-index buffers and
+            // handing the previous pass's input rows back to the pool.
             let cache = self.batch_cache.get_or_insert_with(|| BatchForwardCache {
                 items: 0,
                 node_count: 0,
-                plc_count: 0,
                 host_rows: Vec::new(),
                 server_rows: Vec::new(),
+                host_in: Matrix::zeros(0, 0),
+                server_in: Matrix::zeros(0, 0),
+                plc_in: Matrix::zeros(0, 0),
+                plc: Grouping::default(),
             });
             cache.items = b;
             cache.node_count = n;
-            cache.plc_count = p;
             cache.host_rows.clear();
             cache.host_rows.extend_from_slice(&f0.host_rows);
             cache.server_rows.clear();
             cache.server_rows.extend_from_slice(&f0.server_rows);
+            cache.plc.clone_from(&g.plc);
+            for (slot, input) in [
+                (&mut cache.host_in, host_in),
+                (&mut cache.server_in, server_in),
+                (&mut cache.plc_in, plc_in),
+            ] {
+                s.recycle(std::mem::replace(slot, input));
+            }
         }
+        self.groups = g;
         out
     }
 }
@@ -491,13 +468,21 @@ struct RowGroups {
 }
 
 impl RowGroups {
-    /// Chooses this batch's groupings: by key at inference, identity in
-    /// training, and identity wherever grouping saves no row.
+    /// Chooses this batch's groupings. PLC rows are grouped by key in both
+    /// modes: the PLC head is a row-wise map whose rows the training
+    /// backward re-runs one by one. Node rows are grouped by key at
+    /// inference and take the identity in training, which keeps the
+    /// embedding and attention caches ungrouped; so do the host and server
+    /// lists, which are keyed by node group. Wherever grouping saves no row
+    /// the result is the identity.
     fn plan(&mut self, features: &[&StateFeatures], train: bool) {
         let b = features.len();
         let f0 = features[0];
         let (n, p) = (f0.node_count(), f0.plc_count());
         let (hosts, servers) = (&f0.host_rows, &f0.server_rows);
+        self.plc.by_key(b, p, |i, r| {
+            row_bits::<PLC_FEATURE_DIM>(features[i].plcs.row(r))
+        });
         if !train {
             self.route.clear();
             self.route.resize(n, 0);
@@ -514,9 +499,6 @@ impl RowGroups {
                     row_bits::<NODE_FEATURE_DIM>(features[i].nodes.row(r)),
                 )
             });
-            self.plc.by_key(b, p, |i, r| {
-                row_bits::<PLC_FEATURE_DIM>(features[i].plcs.row(r))
-            });
         }
         if train || self.node.width == n {
             self.node.identity(b, n);
@@ -528,9 +510,6 @@ impl RowGroups {
                 .by_key(b, hosts.len(), |i, r| node.rows_of(i)[hosts[r]]);
             self.server
                 .by_key(b, servers.len(), |i, r| node.rows_of(i)[servers[r]]);
-        }
-        if train || self.plc.width == p {
-            self.plc.identity(b, p);
         }
     }
 }
@@ -586,48 +565,149 @@ fn fwd(layer: &mut dyn Layer, x: &Batch, s: &mut Scratch, train: bool) -> Batch 
     }
 }
 
-/// Runs a two-layer output head (dense → activation → dense → activation)
-/// over a batch, recycling every intermediate. `train` selects the
-/// cache-writing layer path (see [`fwd`]).
-fn head_chain_batch(
-    d1: &mut Dense,
-    a1: &mut Activation,
-    d2: &mut Dense,
-    a2: &mut Activation,
-    input: Batch,
-    s: &mut Scratch,
-    train: bool,
-) -> Batch {
-    let x = fwd(d1, &input, s, train);
-    s.recycle(input.into_matrix());
-    let y = fwd(a1, &x, s, train);
-    s.recycle(x.into_matrix());
-    let x = fwd(d2, &y, s, train);
-    s.recycle(y.into_matrix());
-    let q = fwd(a2, &x, s, train);
-    s.recycle(x.into_matrix());
-    q
+/// A two-layer output head: dense → ReLU → dense → tanh.
+#[derive(Debug, Clone)]
+struct Head {
+    dense1: Dense,
+    act: Activation,
+    dense2: Dense,
+    out: Activation,
 }
 
-/// Batched backward through a two-layer output head, returning the gradient
-/// with respect to the head input.
-fn head_chain_backward_batch(
-    d1: &mut Dense,
-    a1: &mut Activation,
-    d2: &mut Dense,
-    a2: &mut Activation,
-    grad: Batch,
-    s: &mut Scratch,
-) -> Batch {
-    let x = a2.backward_batch(&grad, s);
-    s.recycle(grad.into_matrix());
-    let y = d2.backward_batch(&x, s);
-    s.recycle(x.into_matrix());
-    let x = a1.backward_batch(&y, s);
-    s.recycle(y.into_matrix());
-    let g = d1.backward_batch(&x, s);
-    s.recycle(x.into_matrix());
-    g
+impl Head {
+    /// A head from `input` features to `output` values; the two dense
+    /// layers are seeded `seed` and `seed + 1`.
+    fn new(input: usize, output: usize, seed: u64) -> Self {
+        Self {
+            dense1: Dense::new(input, HEAD_HIDDEN, seed),
+            act: Activation::relu(),
+            dense2: Dense::new(HEAD_HIDDEN, output, seed.wrapping_add(1)),
+            out: Activation::tanh(),
+        }
+    }
+
+    /// The solo forward, caching for [`Head::backward`].
+    fn forward(&mut self, input: &Matrix, s: &mut Scratch) -> Matrix {
+        let x = self.dense1.forward(input, s);
+        let y = self.act.forward(&x, s);
+        s.recycle(x);
+        let x = self.dense2.forward(&y, s);
+        s.recycle(y);
+        let q = self.out.forward(&x, s);
+        s.recycle(x);
+        q
+    }
+
+    /// The solo backward, returning the gradient on the head input.
+    fn backward(&mut self, grad: &Matrix, s: &mut Scratch) -> Matrix {
+        let x = self.out.backward(grad, s);
+        let y = self.dense2.backward(&x, s);
+        s.recycle(x);
+        let x = self.act.backward(&y, s);
+        s.recycle(y);
+        let g = self.dense1.backward(&x, s);
+        s.recycle(x);
+        g
+    }
+
+    /// The batched forward; `train` selects the cache-writing layer path
+    /// (see [`fwd`]).
+    fn forward_batch(&mut self, input: &Batch, s: &mut Scratch, train: bool) -> Batch {
+        let x = fwd(&mut self.dense1, input, s, train);
+        let y = fwd(&mut self.act, &x, s, train);
+        s.recycle(x.into_matrix());
+        let x = fwd(&mut self.dense2, &y, s, train);
+        s.recycle(y.into_matrix());
+        let q = fwd(&mut self.out, &x, s, train);
+        s.recycle(x.into_matrix());
+        q
+    }
+
+    /// The batched backward of a training [`Head::forward_batch`],
+    /// returning the gradient on the head input.
+    fn backward_batch(&mut self, grad: Batch, s: &mut Scratch) -> Batch {
+        let x = self.out.backward_batch(&grad, s);
+        s.recycle(grad.into_matrix());
+        let y = self.dense2.backward_batch(&x, s);
+        s.recycle(x.into_matrix());
+        let x = self.act.backward_batch(&y, s);
+        s.recycle(y.into_matrix());
+        let g = self.dense1.backward_batch(&x, s);
+        s.recycle(x.into_matrix());
+        g
+    }
+
+    /// Backpropagates, after an inference forward that cached nothing, the
+    /// rows of `items` states × `rows` head rows that the loss gradient
+    /// reaches. `input(i, r)` is row `r`'s head input in state `i`,
+    /// `grad(i, r)` its slice of the Q-gradient, and `scatter(i, r, g)`
+    /// receives its gradient on the head input, in ascending `(i, r)` order.
+    ///
+    /// A row is picked when its gradient slice holds a non-zero entry (NaN
+    /// included) or its input holds a NaN or ±Inf. Any other row would add
+    /// `x · 0 = ±0` to accumulators that are `+0` after `zero_grad`, which
+    /// changes no gradient bit while the row's forward values are finite; a
+    /// non-finite input would make `0 × NaN` reach the weight gradient in a
+    /// backward over every row, so such a row always runs. The picked rows
+    /// re-run the training forward (the kernels are row-wise, so they repeat
+    /// the Q-values already returned bit for bit) as one item per state,
+    /// holding the state's picked rows in row order and padded with zero
+    /// rows to the largest count: one gradient flush per state, as in a solo
+    /// backward per state.
+    fn backward_rows<'a>(
+        &mut self,
+        items: usize,
+        rows: usize,
+        input: impl Fn(usize, usize) -> &'a [f32],
+        grad: impl Fn(usize, usize) -> &'a [f32],
+        s: &mut Scratch,
+        mut scatter: impl FnMut(usize, usize, &[f32]),
+    ) {
+        // (state, row, stacked row) of every picked row.
+        let mut picks: Vec<(usize, usize, usize)> = Vec::new();
+        let (mut states, mut width) = (0, 0);
+        for i in 0..items {
+            let first = picks.len();
+            for r in 0..rows {
+                let reached = grad(i, r).iter().any(|&g| g != 0.0)
+                    || input(i, r).iter().any(|v| !v.is_finite());
+                if reached {
+                    picks.push((i, r, states));
+                }
+            }
+            if picks.len() > first {
+                states += 1;
+                width = width.max(picks.len() - first);
+            }
+        }
+        if picks.is_empty() {
+            return;
+        }
+        let mut x = Batch::take(s, states, width, self.dense1.input_dim());
+        let mut g = Batch::take(s, states, width, self.dense2.output_dim());
+        let (mut prev, mut slot) = (usize::MAX, 0);
+        for pick in &mut picks {
+            let (i, r, item) = *pick;
+            slot = if item == prev { slot + 1 } else { 0 };
+            prev = item;
+            pick.2 = item * width + slot;
+            x.matrix_mut().row_mut(pick.2).copy_from_slice(input(i, r));
+            g.matrix_mut().row_mut(pick.2).copy_from_slice(grad(i, r));
+        }
+        let q = self.forward_batch(&x, s, true);
+        s.recycle(q.into_matrix());
+        s.recycle(x.into_matrix());
+        let grad_in = self.backward_batch(g, s);
+        for &(i, r, row) in &picks {
+            scatter(i, r, grad_in.matrix().row(row));
+        }
+        s.recycle(grad_in.into_matrix());
+    }
+
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut Param> {
+        let dense1 = self.dense1.params_mut();
+        dense1.into_iter().chain(self.dense2.params_mut())
+    }
 }
 
 impl QNetwork for AttentionQNet {
@@ -652,9 +732,13 @@ impl QNetwork for AttentionQNet {
 
     /// The batched *training* forward: the same stacked pass as
     /// [`AttentionQNet::q_values_batch`] (so every state's Q-vector is
-    /// bit-identical to a solo [`AttentionQNet::q_values`]), but run through
-    /// the layers' `forward_batch_train` path so batch-shaped caches feed
-    /// one [`AttentionQNet::backward_batch`] for the whole minibatch.
+    /// bit-identical to a solo [`AttentionQNet::q_values`]), with the
+    /// embedding, attention and no-action layers run through their
+    /// `forward_batch_train` path so batch-shaped caches feed one
+    /// [`AttentionQNet::backward_batch`] for the whole minibatch. The host,
+    /// server and PLC heads run their inference forward and the network
+    /// keeps their input rows, because the backward re-runs them only on
+    /// the rows its gradient reaches.
     ///
     /// # Panics
     ///
@@ -664,6 +748,14 @@ impl QNetwork for AttentionQNet {
         self.q_values_batch_impl(features, true)
     }
 
+    /// The batched backward. The host, server and PLC heads run only on
+    /// the (state, row) pairs whose gradient slice is non-zero or whose
+    /// kept input is not finite, one gradient flush per state (see
+    /// `Head::backward_rows`): the DQN loss reaches one Q-value per state,
+    /// so a minibatch of 64 `paper-small` states backpropagates at most 64
+    /// of the 2,944 rows of those three heads, with the same gradient bits
+    /// as a backward over every row. The no-action head, both attention
+    /// layers and the embedding run their full batched backward.
     fn backward_batch(&mut self, grad_q: &Matrix) {
         let cache = self
             .batch_cache
@@ -671,9 +763,6 @@ impl QNetwork for AttentionQNet {
             .expect("backward_batch called before q_values_batch_train");
         let b = cache.items;
         let n = cache.node_count;
-        let p = cache.plc_count;
-        let hosts = cache.host_rows.len();
-        let servers = cache.server_rows.len();
         assert_eq!(
             grad_q.shape(),
             (b, self.action_space.len()),
@@ -681,74 +770,30 @@ impl QNetwork for AttentionQNet {
         );
         let s = &mut self.scratch;
 
-        let head_in = CTX_DIM + PLC_SUMMARY_DIM;
-        let mut grad_h = s.take(b * n, head_in);
-
-        // Host head.
-        if hosts > 0 {
-            let mut grad_host = Batch::take(s, b, hosts, ACTIONS_PER_NODE);
-            for i in 0..b {
-                for (slot, &node) in cache.host_rows.iter().enumerate() {
-                    let base = 1 + node * ACTIONS_PER_NODE;
-                    grad_host
-                        .matrix_mut()
-                        .row_mut(i * hosts + slot)
-                        .copy_from_slice(&grad_q.row(i)[base..base + ACTIONS_PER_NODE]);
-                }
-            }
-            let g = head_chain_backward_batch(
-                &mut self.host_head1,
-                &mut self.host_act,
-                &mut self.host_head2,
-                &mut self.host_out,
-                grad_host,
+        // Context gradient of every node row, starting from the host and
+        // server heads on the rows the loss reaches.
+        let mut grad_ctx = Batch::take(s, b, n, CTX_DIM);
+        for (head, nodes, kept) in [
+            (&mut self.host_head, &cache.host_rows, &cache.host_in),
+            (&mut self.server_head, &cache.server_rows, &cache.server_in),
+        ] {
+            let rows = nodes.len();
+            head.backward_rows(
+                b,
+                rows,
+                |i, r| kept.row(i * rows + r),
+                |i, r| {
+                    let base = 1 + nodes[r] * ACTIONS_PER_NODE;
+                    &grad_q.row(i)[base..base + ACTIONS_PER_NODE]
+                },
                 s,
-            );
-            for i in 0..b {
-                for (slot, &node) in cache.host_rows.iter().enumerate() {
-                    for (d, &v) in grad_h
-                        .row_mut(i * n + node)
-                        .iter_mut()
-                        .zip(g.matrix().row(i * hosts + slot))
-                    {
+                |i, r, g| {
+                    let dst = grad_ctx.matrix_mut().row_mut(i * n + nodes[r]);
+                    for (d, &v) in dst.iter_mut().zip(&g[..CTX_DIM]) {
                         *d += v;
                     }
-                }
-            }
-            s.recycle(g.into_matrix());
-        }
-        // Server head.
-        if servers > 0 {
-            let mut grad_server = Batch::take(s, b, servers, ACTIONS_PER_NODE);
-            for i in 0..b {
-                for (slot, &node) in cache.server_rows.iter().enumerate() {
-                    let base = 1 + node * ACTIONS_PER_NODE;
-                    grad_server
-                        .matrix_mut()
-                        .row_mut(i * servers + slot)
-                        .copy_from_slice(&grad_q.row(i)[base..base + ACTIONS_PER_NODE]);
-                }
-            }
-            let g = head_chain_backward_batch(
-                &mut self.server_head1,
-                &mut self.server_act,
-                &mut self.server_head2,
-                &mut self.server_out,
-                grad_server,
-                s,
+                },
             );
-            for i in 0..b {
-                for (slot, &node) in cache.server_rows.iter().enumerate() {
-                    for (d, &v) in grad_h
-                        .row_mut(i * n + node)
-                        .iter_mut()
-                        .zip(g.matrix().row(i * servers + slot))
-                    {
-                        *d += v;
-                    }
-                }
-            }
-            s.recycle(g.into_matrix());
         }
 
         // No-action head -> gradient on each state's pooled context.
@@ -756,14 +801,7 @@ impl QNetwork for AttentionQNet {
         for i in 0..b {
             grad_noact.matrix_mut().row_mut(i)[0] = grad_q.row(i)[0];
         }
-        let grad_noact_in = head_chain_backward_batch(
-            &mut self.noact_head1,
-            &mut self.noact_act,
-            &mut self.noact_head2,
-            &mut self.noact_out,
-            grad_noact,
-            s,
-        );
+        let grad_noact_in = self.noact_head.backward_batch(grad_noact, s);
         let mut grad_mean_ctx = s.take(b, CTX_DIM);
         for i in 0..b {
             grad_mean_ctx
@@ -772,52 +810,41 @@ impl QNetwork for AttentionQNet {
         }
         s.recycle(grad_noact_in.into_matrix());
 
-        // PLC head -> more gradient on each state's pooled context.
-        if p > 0 {
-            let mut grad_plc = Batch::take(s, b, p, ACTIONS_PER_PLC);
-            let plc_base = 1 + ACTIONS_PER_NODE * n;
-            for i in 0..b {
-                for plc in 0..p {
-                    let base = plc_base + plc * ACTIONS_PER_PLC;
-                    grad_plc
-                        .matrix_mut()
-                        .row_mut(i * p + plc)
-                        .copy_from_slice(&grad_q.row(i)[base..base + ACTIONS_PER_PLC]);
+        // PLC head on the rows the loss reaches -> more gradient on each
+        // state's pooled context.
+        let plc = &cache.plc;
+        let plc_base = 1 + ACTIONS_PER_NODE * n;
+        self.plc_head.backward_rows(
+            b,
+            plc.rows,
+            |i, r| cache.plc_in.row(i * plc.width + plc.rows_of(i)[r]),
+            |i, r| {
+                let base = plc_base + r * ACTIONS_PER_PLC;
+                &grad_q.row(i)[base..base + ACTIONS_PER_PLC]
+            },
+            s,
+            |i, _, g| {
+                for (d, &v) in grad_mean_ctx
+                    .row_mut(i)
+                    .iter_mut()
+                    .zip(&g[PLC_FEATURE_DIM..])
+                {
+                    *d += v;
                 }
-            }
-            let grad_plc_in = head_chain_backward_batch(
-                &mut self.plc_head1,
-                &mut self.plc_act,
-                &mut self.plc_head2,
-                &mut self.plc_out,
-                grad_plc,
-                s,
-            );
-            for i in 0..b {
-                for r in 0..p {
-                    let src = &grad_plc_in.matrix().row(i * p + r)[PLC_FEATURE_DIM..];
-                    for (d, &v) in grad_mean_ctx.row_mut(i).iter_mut().zip(src) {
-                        *d += v;
-                    }
-                }
-            }
-            s.recycle(grad_plc_in.into_matrix());
-        }
+            },
+        );
 
-        // Context gradient per state: the per-node head slice plus 1/n of
-        // that state's pooled gradient (mean-pooling backward).
-        let mut grad_ctx = Batch::take(s, b, n, CTX_DIM);
+        // Mean-pooling backward: every node row of a state adds 1/n of the
+        // state's pooled gradient to its head slice.
         let inv_n = 1.0 / n.max(1) as f32;
         for i in 0..b {
             for r in 0..n {
                 let dst = grad_ctx.matrix_mut().row_mut(i * n + r);
-                dst.copy_from_slice(&grad_h.row(i * n + r)[..CTX_DIM]);
                 for (d, &g) in dst.iter_mut().zip(grad_mean_ctx.row(i)) {
                     *d += g * inv_n;
                 }
             }
         }
-        s.recycle(grad_h);
         s.recycle(grad_mean_ctx);
 
         // Attention and embedding backward, batch-first all the way down.
@@ -872,49 +899,25 @@ impl QNetwork for AttentionQNet {
         hcat_broadcast_into(&ctx, &features.plc_summary, &mut h);
         s.recycle(ctx);
 
-        let q_host = if features.host_rows.is_empty() {
-            s.take(0, ACTIONS_PER_NODE)
-        } else {
-            let mut host_in = s.take(features.host_rows.len(), h.cols());
-            h.select_rows_into(&features.host_rows, &mut host_in);
-            let x = self.host_head1.forward(&host_in, s);
-            s.recycle(host_in);
-            let y = self.host_act.forward(&x, s);
-            s.recycle(x);
-            let x = self.host_head2.forward(&y, s);
-            s.recycle(y);
-            let q = self.host_out.forward(&x, s);
-            s.recycle(x);
+        let node_head = |head: &mut Head, rows: &[usize], s: &mut Scratch| {
+            if rows.is_empty() {
+                return s.take(0, ACTIONS_PER_NODE);
+            }
+            let mut input = s.take(rows.len(), h.cols());
+            h.select_rows_into(rows, &mut input);
+            let q = head.forward(&input, s);
+            s.recycle(input);
             q
         };
-        let q_server = if features.server_rows.is_empty() {
-            s.take(0, ACTIONS_PER_NODE)
-        } else {
-            let mut server_in = s.take(features.server_rows.len(), h.cols());
-            h.select_rows_into(&features.server_rows, &mut server_in);
-            let x = self.server_head1.forward(&server_in, s);
-            s.recycle(server_in);
-            let y = self.server_act.forward(&x, s);
-            s.recycle(x);
-            let x = self.server_head2.forward(&y, s);
-            s.recycle(y);
-            let q = self.server_out.forward(&x, s);
-            s.recycle(x);
-            q
-        };
+        let q_host = node_head(&mut self.host_head, &features.host_rows, s);
+        let q_server = node_head(&mut self.server_head, &features.server_rows, s);
         s.recycle(h);
 
         // No-action value from the pooled context.
         let mut noact_in = s.take(1, CTX_DIM + PLC_SUMMARY_DIM);
         hcat_broadcast_into(&mean_ctx, &features.plc_summary, &mut noact_in);
-        let x = self.noact_head1.forward(&noact_in, s);
+        let q_noact = self.noact_head.forward(&noact_in, s);
         s.recycle(noact_in);
-        let y = self.noact_act.forward(&x, s);
-        s.recycle(x);
-        let x = self.noact_head2.forward(&y, s);
-        s.recycle(y);
-        let q_noact = self.noact_out.forward(&x, s);
-        s.recycle(x);
 
         // PLC head: per-PLC status one-hot + pooled context (broadcast).
         let q_plc = if p == 0 {
@@ -922,14 +925,8 @@ impl QNetwork for AttentionQNet {
         } else {
             let mut plc_in = s.take(p, PLC_FEATURE_DIM + CTX_DIM);
             hcat_broadcast_into(&features.plcs, &mean_ctx, &mut plc_in);
-            let x = self.plc_head1.forward(&plc_in, s);
+            let q = self.plc_head.forward(&plc_in, s);
             s.recycle(plc_in);
-            let y = self.plc_act.forward(&x, s);
-            s.recycle(x);
-            let x = self.plc_head2.forward(&y, s);
-            s.recycle(y);
-            let q = self.plc_out.forward(&x, s);
-            s.recycle(x);
             q
         };
         s.recycle(mean_ctx);
@@ -971,6 +968,8 @@ impl QNetwork for AttentionQNet {
         q
     }
 
+    /// The solo backward runs every head over all of its rows: it is the
+    /// oracle the sparse batched backward is compared against.
     fn backward(&mut self, grad_q: &[f32]) {
         let cache = self.cache.take().expect("backward called before q_values");
         let n = cache.node_count;
@@ -985,48 +984,23 @@ impl QNetwork for AttentionQNet {
         let head_in = CTX_DIM + PLC_SUMMARY_DIM;
         let mut grad_h = s.take(n, head_in);
 
-        // Host head.
-        if !cache.host_rows.is_empty() {
-            let mut grad_host = s.take(cache.host_rows.len(), ACTIONS_PER_NODE);
-            for (row, node) in cache.host_rows.iter().enumerate() {
+        // Host and server heads.
+        for (head, rows) in [
+            (&mut self.host_head, &cache.host_rows),
+            (&mut self.server_head, &cache.server_rows),
+        ] {
+            if rows.is_empty() {
+                continue;
+            }
+            let mut grad = s.take(rows.len(), ACTIONS_PER_NODE);
+            for (row, node) in rows.iter().enumerate() {
                 let base = 1 + node * ACTIONS_PER_NODE;
-                grad_host
-                    .row_mut(row)
+                grad.row_mut(row)
                     .copy_from_slice(&grad_q[base..base + ACTIONS_PER_NODE]);
             }
-            let x = self.host_out.backward(&grad_host, s);
-            s.recycle(grad_host);
-            let y = self.host_head2.backward(&x, s);
-            s.recycle(x);
-            let x = self.host_act.backward(&y, s);
-            s.recycle(y);
-            let g = self.host_head1.backward(&x, s);
-            s.recycle(x);
-            for (row, node) in cache.host_rows.iter().enumerate() {
-                for (d, &v) in grad_h.row_mut(*node).iter_mut().zip(g.row(row)) {
-                    *d += v;
-                }
-            }
-            s.recycle(g);
-        }
-        // Server head.
-        if !cache.server_rows.is_empty() {
-            let mut grad_server = s.take(cache.server_rows.len(), ACTIONS_PER_NODE);
-            for (row, node) in cache.server_rows.iter().enumerate() {
-                let base = 1 + node * ACTIONS_PER_NODE;
-                grad_server
-                    .row_mut(row)
-                    .copy_from_slice(&grad_q[base..base + ACTIONS_PER_NODE]);
-            }
-            let x = self.server_out.backward(&grad_server, s);
-            s.recycle(grad_server);
-            let y = self.server_head2.backward(&x, s);
-            s.recycle(x);
-            let x = self.server_act.backward(&y, s);
-            s.recycle(y);
-            let g = self.server_head1.backward(&x, s);
-            s.recycle(x);
-            for (row, node) in cache.server_rows.iter().enumerate() {
+            let g = head.backward(&grad, s);
+            s.recycle(grad);
+            for (row, node) in rows.iter().enumerate() {
                 for (d, &v) in grad_h.row_mut(*node).iter_mut().zip(g.row(row)) {
                     *d += v;
                 }
@@ -1037,14 +1011,8 @@ impl QNetwork for AttentionQNet {
         // No-action head -> gradient on the pooled context.
         let mut grad_noact = s.take(1, 1);
         grad_noact.row_mut(0)[0] = grad_q[0];
-        let x = self.noact_out.backward(&grad_noact, s);
+        let grad_noact_in = self.noact_head.backward(&grad_noact, s);
         s.recycle(grad_noact);
-        let y = self.noact_head2.backward(&x, s);
-        s.recycle(x);
-        let x = self.noact_act.backward(&y, s);
-        s.recycle(y);
-        let grad_noact_in = self.noact_head1.backward(&x, s);
-        s.recycle(x);
         let mut grad_mean_ctx = s.take(1, CTX_DIM);
         grad_mean_ctx
             .row_mut(0)
@@ -1061,14 +1029,8 @@ impl QNetwork for AttentionQNet {
                     .row_mut(plc)
                     .copy_from_slice(&grad_q[base..base + ACTIONS_PER_PLC]);
             }
-            let x = self.plc_out.backward(&grad_plc, s);
+            let grad_plc_in = self.plc_head.backward(&grad_plc, s);
             s.recycle(grad_plc);
-            let y = self.plc_head2.backward(&x, s);
-            s.recycle(x);
-            let x = self.plc_act.backward(&y, s);
-            s.recycle(y);
-            let grad_plc_in = self.plc_head1.backward(&x, s);
-            s.recycle(x);
             for i in 0..p {
                 let src = &grad_plc_in.row(i)[PLC_FEATURE_DIM..];
                 for (d, &v) in grad_mean_ctx.row_mut(0).iter_mut().zip(src) {
@@ -1120,14 +1082,10 @@ impl QNetwork for AttentionQNet {
         params.extend(self.embed3.params_mut());
         params.extend(self.attn1.params_mut());
         params.extend(self.attn2.params_mut());
-        params.extend(self.host_head1.params_mut());
-        params.extend(self.host_head2.params_mut());
-        params.extend(self.server_head1.params_mut());
-        params.extend(self.server_head2.params_mut());
-        params.extend(self.plc_head1.params_mut());
-        params.extend(self.plc_head2.params_mut());
-        params.extend(self.noact_head1.params_mut());
-        params.extend(self.noact_head2.params_mut());
+        params.extend(self.host_head.params_mut());
+        params.extend(self.server_head.params_mut());
+        params.extend(self.plc_head.params_mut());
+        params.extend(self.noact_head.params_mut());
         params
     }
 }

@@ -77,7 +77,10 @@ pub trait QNetwork: Send {
     /// [`QNetwork::q_values`] call on state `i` (the same contract as
     /// [`QNetwork::q_values_batch`]), but unlike the inference path this
     /// call *does* overwrite the training cache — it replaces a loop of
-    /// cached solo forwards, not interleave with one.
+    /// cached solo forwards, not interleave with one. What it caches is up
+    /// to the network: it may keep a stage's inputs instead of its
+    /// intermediates and let the backward re-run that stage on the rows the
+    /// gradient reaches, as the attention net does for its output heads.
     fn q_values_batch_train(&mut self, features: &[&StateFeatures]) -> Vec<Vec<f32>>;
 
     /// Backpropagates one gradient row per state of the most recent
@@ -85,9 +88,13 @@ pub trait QNetwork: Send {
     /// matrix), accumulating parameter gradients summed over the minibatch.
     ///
     /// Gradient accumulation is bit-identical to running solo
-    /// `q_values`/`backward` per state in row order — the property that
-    /// makes the batched DQN update reproduce serial-update training
-    /// exactly (pinned by `tests/train_determinism.rs`).
+    /// `q_values`/`backward` per state in row order, on every kernel
+    /// backend — the property that makes the batched DQN update reproduce
+    /// serial-update training exactly (pinned by `tests/train_determinism.rs`
+    /// on the reference backend and by `tests/backend_equivalence.rs` on
+    /// every backend). An implementation may skip rows whose gradient is
+    /// zero as long as skipping changes no gradient bit: the DQN loss
+    /// reaches one Q-value per state.
     ///
     /// # Panics
     ///

@@ -192,8 +192,10 @@ impl<'a> Snapshot<'a> {
         if version != FORMAT_VERSION {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
+        // Sections are pushed as they decode: the count comes from the
+        // input, so it must not size an allocation.
         let count = u32::from_le_bytes(contents[12..16].try_into().unwrap()) as usize;
-        let mut sections = Vec::with_capacity(count);
+        let mut sections = Vec::new();
         let mut at = 16;
         for _ in 0..count {
             if contents.len() - at < 16 {
@@ -243,6 +245,11 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 
 /// Bounds-checked cursor over a section payload. Every read names the offset
 /// in its error so a truncated or mis-versioned section is diagnosable.
+///
+/// A count read from a section says how many elements follow, not how much
+/// memory the input backs: decoders push elements as they decode them and
+/// never pre-allocate from a count, so a corrupt count fails as a truncated
+/// section instead of an allocation the process cannot survive.
 pub struct SectionReader<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -252,6 +259,11 @@ impl<'a> SectionReader<'a> {
     /// Starts reading at the beginning of `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, at: 0 }
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
     }
 
     /// Consumes exactly `n` raw bytes.
@@ -354,7 +366,17 @@ fn push_matrix(out: &mut Vec<u8>, m: &Matrix) {
 fn read_matrix(c: &mut SectionReader<'_>) -> Result<Matrix, SnapshotError> {
     let rows = c.u32()? as usize;
     let cols = c.u32()? as usize;
-    let mut data = vec![0.0f32; rows * cols];
+    // The shape must fit in the bytes left before anything is allocated.
+    let len = rows
+        .checked_mul(cols)
+        .filter(|&len| len <= c.remaining() / 4)
+        .ok_or_else(|| {
+            SnapshotError::Corrupt(format!(
+                "a {rows}x{cols} matrix overruns the {} bytes left in its section",
+                c.remaining()
+            ))
+        })?;
+    let mut data = vec![0.0f32; len];
     for x in &mut data {
         *x = c.f32()?;
     }
@@ -370,7 +392,7 @@ fn push_index_list(out: &mut Vec<u8>, list: &[usize]) {
 
 fn read_index_list(c: &mut SectionReader<'_>) -> Result<Vec<usize>, SnapshotError> {
     let count = c.u32()? as usize;
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::new();
     for _ in 0..count {
         out.push(c.u32()? as usize);
     }
@@ -569,7 +591,7 @@ pub fn decode_train_checkpoint<N: QNetwork + Clone>(
 
     let mut c = SectionReader::new(snapshot.section(tags::ARENA)?);
     let slot_count = c.u32()? as usize;
-    let mut slots = Vec::with_capacity(slot_count);
+    let mut slots = Vec::new();
     for _ in 0..slot_count {
         slots.push(match c.u8()? {
             0 => None,
@@ -577,12 +599,12 @@ pub fn decode_train_checkpoint<N: QNetwork + Clone>(
             other => return corrupt(format!("arena slot marker {other}")),
         });
     }
-    let mut refs = Vec::with_capacity(slot_count);
+    let mut refs = Vec::new();
     for _ in 0..slot_count {
         refs.push(c.u32()?);
     }
     let free_count = c.u32()? as usize;
-    let mut free = Vec::with_capacity(free_count);
+    let mut free = Vec::new();
     for _ in 0..free_count {
         free.push(c.u32()?);
     }
@@ -595,8 +617,8 @@ pub fn decode_train_checkpoint<N: QNetwork + Clone>(
     let next_slot = c.u32()? as usize;
     let len = c.u32()? as usize;
     let max_priority = c.f64()?;
-    let mut items = Vec::with_capacity(capacity);
-    let mut leaves = Vec::with_capacity(capacity);
+    let mut items = Vec::new();
+    let mut leaves = Vec::new();
     for _ in 0..capacity {
         leaves.push(c.f64()?);
         items.push(match c.u8()? {
@@ -626,7 +648,7 @@ pub fn decode_train_checkpoint<N: QNetwork + Clone>(
 
     let mut c = SectionReader::new(snapshot.section(tags::NSTEP)?);
     let window_len = c.u32()? as usize;
-    let mut window = Vec::with_capacity(window_len);
+    let mut window = Vec::new();
     for _ in 0..window_len {
         window.push(Transition {
             state: FeatureId::from_index(c.u32()? as usize),
@@ -640,12 +662,12 @@ pub fn decode_train_checkpoint<N: QNetwork + Clone>(
 
     let mut c = SectionReader::new(snapshot.section(tags::PROGRESS)?);
     let returns_len = c.u32()? as usize;
-    let mut episode_returns = Vec::with_capacity(returns_len);
+    let mut episode_returns = Vec::new();
     for _ in 0..returns_len {
         episode_returns.push(c.f64()?);
     }
     let losses_len = c.u32()? as usize;
-    let mut episode_losses = Vec::with_capacity(losses_len);
+    let mut episode_losses = Vec::new();
     for _ in 0..losses_len {
         episode_losses.push(f32::from_bits(c.u32()?));
     }
@@ -764,9 +786,7 @@ mod tests {
         // Corrupt the magic, re-seal the digest so the magic check is what
         // fires.
         bytes[0..8].copy_from_slice(b"WRONGMAG");
-        let len = bytes.len();
-        let digest = fnv1a64(&bytes[..len - 8]);
-        bytes[len - 8..].copy_from_slice(&digest.to_le_bytes());
+        reseal(&mut bytes);
         let err = Snapshot::parse(&bytes).unwrap_err();
         assert!(
             err.to_string().contains("57, 52, 4f, 4e, 47, 4d, 41, 47")
@@ -776,13 +796,72 @@ mod tests {
 
         bytes[0..8].copy_from_slice(MAGIC);
         bytes[8..12].copy_from_slice(&9u32.to_le_bytes());
-        let digest = fnv1a64(&bytes[..len - 8]);
-        bytes[len - 8..].copy_from_slice(&digest.to_le_bytes());
+        reseal(&mut bytes);
         let err = Snapshot::parse(&bytes).unwrap_err();
         assert_eq!(
             err.to_string(),
             "unsupported snapshot version 9, expected 1"
         );
+    }
+
+    /// Re-seals a container whose contents were edited, as anyone can: FNV
+    /// is a checksum, not a MAC.
+    fn reseal(bytes: &mut [u8]) {
+        let len = bytes.len();
+        let digest = fnv1a64(&bytes[..len - 8]);
+        bytes[len - 8..].copy_from_slice(&digest.to_le_bytes());
+    }
+
+    #[test]
+    fn a_section_count_past_the_input_is_a_typed_error() {
+        // Magic, version, a section count of u32::MAX and a valid digest.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]);
+        reseal(&mut bytes);
+        assert_eq!(bytes.len(), 24);
+        let err = Snapshot::parse(&bytes).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn a_matrix_shape_past_the_section_is_a_typed_error() {
+        for (rows, cols) in [(u32::MAX, u32::MAX), (1 << 31, 2), (3, 1)] {
+            let mut bytes = Vec::new();
+            push_u32(&mut bytes, rows);
+            push_u32(&mut bytes, cols);
+            push_u32(&mut bytes, 0);
+            let err = read_matrix(&mut SectionReader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_arena_slot_count_past_the_section_is_a_typed_error() {
+        let config = crate::train::TrainConfig::smoke(1).with_seed(5);
+        let mut trained = crate::train::train_attention_acso(&config);
+        let bytes = encode_train_checkpoint(&mut trained.agent, &trained.report);
+        let cold = || {
+            let config = crate::train::TrainConfig::smoke(0).with_seed(5);
+            crate::train::train_attention_acso(&config).agent
+        };
+
+        // A valid checkpoint still round-trips byte for byte.
+        let mut restored = cold();
+        let report = decode_train_checkpoint(&mut restored, &bytes).unwrap();
+        assert_eq!(encode_train_checkpoint(&mut restored, &report), bytes);
+
+        let mut hostile = bytes.clone();
+        let snapshot = Snapshot::parse(&bytes).unwrap();
+        let arena = snapshot.section(tags::ARENA).unwrap();
+        let at = arena.as_ptr() as usize - bytes.as_ptr() as usize;
+        assert!(u32::from_le_bytes(arena[..4].try_into().unwrap()) > 0);
+        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut hostile);
+        let err = decode_train_checkpoint(&mut cold(), &hostile).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -77,6 +77,15 @@ fn push_matrix(out: &mut Vec<u8>, m: &Matrix) {
 fn read_matrix(r: &mut StateReader<'_>) -> Result<Matrix, OptimStateError> {
     let rows = r.u32()? as usize;
     let cols = r.u32()? as usize;
+    // The shape comes from the input: it must fit in the bytes left before
+    // anything is allocated for it.
+    let left = r.bytes.len() - r.at;
+    if rows.checked_mul(cols).is_none_or(|len| len > left / 4) {
+        return Err(OptimStateError(format!(
+            "truncated: a {rows}x{cols} matrix at offset {} overruns the {left} bytes left",
+            r.at
+        )));
+    }
     let mut m = Matrix::zeros(rows, cols);
     for x in m.data_mut() {
         *x = r.f32()?;
@@ -235,8 +244,9 @@ impl Adam {
         let beta1 = r.f32()?;
         let beta2 = r.f32()?;
         let epsilon = r.f32()?;
+        // Pushed as they decode: the count must not size an allocation.
         let count = r.u32()? as usize;
-        let mut moments = Vec::with_capacity(2 * count);
+        let mut moments = Vec::new();
         for _ in 0..2 * count {
             moments.push(read_matrix(&mut r)?);
         }
@@ -347,6 +357,15 @@ mod tests {
         extended.push(0);
         let err = opt.restore_state(&extended).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
+        // Counts and shapes past the input are errors, not allocations:
+        // the moment count sits after the step count and four
+        // hyper-parameters, the first moment's shape right after it.
+        for (at, value) in [(24, u32::MAX), (28, u32::MAX), (32, u32::MAX)] {
+            let mut hostile = good.clone();
+            hostile[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            assert!(opt.restore_state(&hostile).is_err(), "offset {at}");
+        }
+        assert_eq!(opt.state_bytes(), before, "failed restore must not mutate");
     }
 
     #[test]

@@ -102,8 +102,9 @@ pub fn decode(bytes: &[u8]) -> Result<ServeState, SnapshotError> {
     meta.finish()?;
 
     let mut r = SectionReader::new(snapshot.section("policies")?);
+    // Pushed as they decode: the count must not size an allocation.
     let count = r.u64()? as usize;
-    let mut policies = Vec::with_capacity(count);
+    let mut policies = Vec::new();
     for _ in 0..count {
         let handle = r.string()?;
         let kind = r.string()?;
@@ -182,6 +183,17 @@ mod tests {
         assert_eq!(decode(&encode(&state)).unwrap(), state);
         let empty = ServeState::default();
         assert_eq!(decode(&encode(&empty)).unwrap(), empty);
+    }
+
+    #[test]
+    fn a_policy_count_past_the_section_is_a_typed_error() {
+        let mut policies = Vec::new();
+        push_u64(&mut policies, u64::MAX);
+        let mut builder = SnapshotBuilder::new();
+        builder.section("meta", 7u64.to_le_bytes().to_vec());
+        builder.section("policies", policies);
+        let err = decode(&builder.finish()).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! decision itself sits inside the tolerance band.
 
 use acso_bench::{episode_states, grouping_edge_states, trajectory_states};
+use acso_core::actions::{ACTIONS_PER_NODE, ACTIONS_PER_PLC};
 use acso_core::agent::{AttentionQNet, QNetwork};
 use acso_core::{ActionSpace, ScenarioRegistry, StateFeatures};
 use ics_net::TopologySpec;
-use neural::Scratch;
+use neural::{Matrix, Scratch};
 
 /// A freshly constructed scratch (and therefore every agent built without an
 /// explicit override) uses the backend `ACSO_BACKEND` names, falling back to
@@ -116,6 +117,138 @@ fn assert_grouping_exact(
             }
         }
     }
+}
+
+/// Batched training is the solo loop, bit for bit, on every registered
+/// backend: `q_values_batch_train` + `backward_batch` over ten `paper-small`
+/// trajectory states leave every parameter gradient equal to a loop of solo
+/// `q_values` + `backward` calls in state order. The batched backward runs
+/// the host, server and PLC heads only on the rows the gradient reaches,
+/// and flushes each state's rows at once; the solo backward runs every row.
+/// Three gradients:
+///
+/// - (a) the DQN shape: one non-zero entry per state, on a no-action, host,
+///   server or PLC value, each kind in at least two states;
+/// - (b) one state with entries on two hosts and two PLCs (two rows of one
+///   head in one flush) and one all-zero gradient row;
+/// - (c) a NaN in one state's PLC status row while that state's PLC
+///   gradient is zero: the solo loop's `0 × NaN` makes the PLC head's
+///   weight gradient NaN, and so must the batched backward.
+#[test]
+fn batched_attention_training_is_bit_identical_to_the_solo_loop() {
+    let (states, space) = episode_states(TopologySpec::paper_small(), 10);
+    let first = &states[0];
+    let (hosts, servers) = (&first.host_rows, &first.server_rows);
+    let plc_base = 1 + ACTIONS_PER_NODE * first.node_count();
+    let host = |slot: usize, k: usize| 1 + hosts[slot] * ACTIONS_PER_NODE + k;
+    let server = |slot: usize, k: usize| 1 + servers[slot] * ACTIONS_PER_NODE + k;
+    let plc = |index: usize, k: usize| plc_base + index * ACTIONS_PER_PLC + k;
+    assert!(hosts.len() >= 3 && servers.len() >= 2 && first.plc_count() >= 4);
+
+    // (state, action, value) of each state's single entry: kinds cycle
+    // no-action, host, server, PLC, with distinct values.
+    let single: Vec<(usize, usize, f32)> = (0..states.len())
+        .map(|i| {
+            let value = (i as f32 + 1.0) * if i % 2 == 0 { 0.0137 } else { -0.0291 };
+            let action = match i % 4 {
+                0 => 0,
+                1 => host(i % hosts.len(), i % ACTIONS_PER_NODE),
+                2 => server(i % servers.len(), i % ACTIONS_PER_NODE),
+                _ => plc(i % first.plc_count(), i % ACTIONS_PER_PLC),
+            };
+            (i, action, value)
+        })
+        .collect();
+    let gradient = |entries: &[(usize, usize, f32)]| {
+        let mut grad = Matrix::zeros(states.len(), space.len());
+        for &(state, action, value) in entries {
+            grad.row_mut(state)[action] = value;
+        }
+        grad
+    };
+    let mut spread = vec![
+        (0, host(0, 2), 0.021f32),
+        (0, host(2, 5), -0.017),
+        (0, plc(1, 0), 0.033),
+        (0, plc(3, 1), -0.009),
+    ];
+    spread.extend(single.iter().filter(|&&(i, ..)| i > 1));
+    // State 2's single entry is a server value, so its PLC gradient is zero.
+    let mut poisoned = states.clone();
+    poisoned[2].plcs.row_mut(1)[0] = f32::NAN;
+
+    let cases = [
+        ("(a) DQN shape", &states, gradient(&single)),
+        (
+            "(b) two rows per head, a zero row",
+            &states,
+            gradient(&spread),
+        ),
+        ("(c) NaN PLC status row", &poisoned, gradient(&single)),
+    ];
+    for backend in neural::backend::all_backends() {
+        for (label, states, grad) in &cases {
+            let label = format!("{label} on {}", backend.name());
+            let [batched, solo] = train_both_ways(states, &space, grad, *backend, &label);
+            for (j, (a, b)) in batched.iter().zip(&solo).enumerate() {
+                for (k, (x, y)) in a.iter().zip(b).enumerate() {
+                    assert!(
+                        same_bits(*x, *y),
+                        "{label}: parameter {j} element {k}: batched {x} vs solo {y}"
+                    );
+                }
+            }
+            if label.starts_with("(c)") {
+                // The PLC head's first weight matrix: the head parameters
+                // come last, four per head, ordered host, server, PLC,
+                // no-action.
+                let plc_weight = batched.len() - 8;
+                for grads in [&batched, &solo] {
+                    assert!(grads[plc_weight].iter().any(|v| v.is_nan()), "{label}");
+                }
+            }
+        }
+    }
+}
+
+/// Equal bits, or both NaN (NaN payloads are not part of the contract).
+fn same_bits(x: f32, y: f32) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
+/// Every parameter gradient of one network after a batched training pass
+/// and of its twin after the solo loop over the same states and gradient
+/// rows, checking on the way that both forwards return the same Q-values.
+fn train_both_ways(
+    states: &[StateFeatures],
+    space: &ActionSpace,
+    grad: &Matrix,
+    backend: neural::backend::BackendRef,
+    label: &str,
+) -> [Vec<Vec<f32>>; 2] {
+    let grads = |net: &mut AttentionQNet| -> Vec<Vec<f32>> {
+        net.params_mut()
+            .iter()
+            .map(|p| p.grad.data().to_vec())
+            .collect()
+    };
+    let mut batched = AttentionQNet::new(space.clone(), 7);
+    batched.set_kernel_backend(backend);
+    let mut solo = batched.clone();
+    solo.set_kernel_backend(backend);
+
+    let refs: Vec<&StateFeatures> = states.iter().collect();
+    batched.zero_grad();
+    let q_batched = batched.q_values_batch_train(&refs);
+    batched.backward_batch(grad);
+    solo.zero_grad();
+    for (i, state) in states.iter().enumerate() {
+        let q = solo.q_values(state);
+        let same = q.iter().zip(&q_batched[i]).all(|(x, y)| same_bits(*x, *y));
+        assert!(same, "{label}: state {i}: Q-values");
+        solo.backward(grad.row(i));
+    }
+    [grads(&mut batched), grads(&mut solo)]
 }
 
 #[cfg(feature = "backend-simd")]
