@@ -1,12 +1,9 @@
 //! Benchmark: the batched DQN update (one stacked forward + one stacked
-//! backward over the whole minibatch) versus the per-sample solo-loop
-//! reference, across minibatch sizes 1/8/32 for both architectures. The two
-//! paths are pinned bit-identical (`tests/train_determinism.rs`), so this
-//! measures exactly the tiling/amortization win of the batch-first training
-//! refactor.
+//! backward over the whole minibatch) across minibatch sizes 1/8/32 for both
+//! architectures.
 
 use acso_bench::prefilled_update_agent;
-use acso_core::agent::{AttentionQNet, BaselineConvQNet, UpdateMode};
+use acso_core::agent::{AttentionQNet, BaselineConvQNet};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_batched_training(c: &mut Criterion) {
@@ -16,28 +13,13 @@ fn bench_batched_training(c: &mut Criterion) {
         let mut attention = prefilled_update_agent(|s| AttentionQNet::new(s, 0), batch);
         let mut baseline = prefilled_update_agent(|s| BaselineConvQNet::new(s, 0), batch);
 
-        attention.set_update_mode(UpdateMode::Batched);
         group.bench_with_input(
             BenchmarkId::new("attention_batched_update", batch),
             &batch,
             |b, _| b.iter(|| attention.maybe_train().expect("one update per call")),
         );
-        attention.set_update_mode(UpdateMode::Serial);
-        group.bench_with_input(
-            BenchmarkId::new("attention_solo_loop_update", batch),
-            &batch,
-            |b, _| b.iter(|| attention.maybe_train().expect("one update per call")),
-        );
-
-        baseline.set_update_mode(UpdateMode::Batched);
         group.bench_with_input(
             BenchmarkId::new("baseline_batched_update", batch),
-            &batch,
-            |b, _| b.iter(|| baseline.maybe_train().expect("one update per call")),
-        );
-        baseline.set_update_mode(UpdateMode::Serial);
-        group.bench_with_input(
-            BenchmarkId::new("baseline_solo_loop_update", batch),
             &batch,
             |b, _| b.iter(|| baseline.maybe_train().expect("one update per call")),
         );

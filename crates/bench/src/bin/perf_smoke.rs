@@ -1,7 +1,6 @@
 //! Perf-trajectory smoke benchmark: measures simulator rollout throughput
 //! (serial vs parallel vs lockstep-batched), neural forward/backward cost,
-//! batched-inference speedup, and the batched-vs-serial DQN update cost,
-//! and emits a `BENCH_<n>.json` snapshot so the repository tracks
+//! batched-inference speedup, and the DQN update cost, and emits a `BENCH_<n>.json` snapshot so the repository tracks
 //! performance across PRs (summarise the trajectory with the
 //! `bench_compare` binary).
 //!
@@ -31,7 +30,7 @@
 //! reference) and the engine plan the autoscaler picks for that workload.
 
 use acso_bench::prefilled_update_agent;
-use acso_core::agent::{AttentionQNet, BaselineConvQNet, QNetwork, UpdateMode};
+use acso_core::agent::{AttentionQNet, BaselineConvQNet, QNetwork};
 use acso_core::baselines::PlaybookPolicy;
 use acso_core::features::{EncodeScratch, NodeFeatureEncoder};
 use acso_core::rollout::{rollout, rollout_serial, RolloutPlan, SyncBatchEngine};
@@ -307,25 +306,11 @@ fn measure_batched_inference(iters: usize, batch: usize, backend: BackendRef) ->
 struct BatchedTraining {
     batch: usize,
     attention_batched_update_ns: f64,
-    attention_serial_update_ns: f64,
     baseline_batched_update_ns: f64,
-    baseline_serial_update_ns: f64,
-}
-
-impl BatchedTraining {
-    fn attention_speedup(&self) -> f64 {
-        self.attention_serial_update_ns / self.attention_batched_update_ns
-    }
-
-    fn baseline_speedup(&self) -> f64 {
-        self.baseline_serial_update_ns / self.baseline_batched_update_ns
-    }
 }
 
 /// Measures one full DQN gradient update (bootstrap, forward, backward,
-/// optimizer step) per mode: the batched stacked pass versus the
-/// per-sample solo-loop reference. The two agree to the backend's
-/// tolerance, so the ratio is pure implementation speedup.
+/// optimizer step) per architecture.
 fn measure_batched_training(iters: usize, batch: usize, backend: BackendRef) -> BatchedTraining {
     let mut attention = prefilled_update_agent(|s| AttentionQNet::new(s, 0), batch);
     attention.network_mut().set_kernel_backend(backend);
@@ -341,29 +326,17 @@ fn measure_batched_training(iters: usize, batch: usize, backend: BackendRef) -> 
         start.elapsed().as_nanos() as f64 / iters as f64
     };
 
-    attention.set_update_mode(UpdateMode::Batched);
     let attention_batched_update_ns = per_update(&mut || {
         std::hint::black_box(attention.maybe_train().expect("update"));
     });
-    attention.set_update_mode(UpdateMode::Serial);
-    let attention_serial_update_ns = per_update(&mut || {
-        std::hint::black_box(attention.maybe_train().expect("update"));
-    });
-    baseline.set_update_mode(UpdateMode::Batched);
     let baseline_batched_update_ns = per_update(&mut || {
-        std::hint::black_box(baseline.maybe_train().expect("update"));
-    });
-    baseline.set_update_mode(UpdateMode::Serial);
-    let baseline_serial_update_ns = per_update(&mut || {
         std::hint::black_box(baseline.maybe_train().expect("update"));
     });
 
     BatchedTraining {
         batch,
         attention_batched_update_ns,
-        attention_serial_update_ns,
         baseline_batched_update_ns,
-        baseline_serial_update_ns,
     }
 }
 
@@ -411,7 +384,7 @@ fn measure_nn_forward(iters: usize, backend: BackendRef) -> NnForward {
 }
 
 /// All neural metrics for one kernel backend: solo forward/backward,
-/// batched inference, and the DQN update modes.
+/// batched inference, and the DQN update.
 struct NeuralMetrics {
     nn: NnForward,
     batched: BatchedInference,
@@ -461,16 +434,12 @@ fn print_neural(m: &NeuralMetrics, iters: usize, backend: &str) {
         m.training.batch
     );
     println!(
-        "  attention update: {:>10.0} -> {:>10.0} ns ({:.2}x)",
-        m.training.attention_serial_update_ns,
-        m.training.attention_batched_update_ns,
-        m.training.attention_speedup()
+        "  attention update: {:>10.0} ns",
+        m.training.attention_batched_update_ns
     );
     println!(
-        "  baseline update:  {:>10.0} -> {:>10.0} ns ({:.2}x)",
-        m.training.baseline_serial_update_ns,
-        m.training.baseline_batched_update_ns,
-        m.training.baseline_speedup()
+        "  baseline update:  {:>10.0} ns",
+        m.training.baseline_batched_update_ns
     );
 }
 
@@ -486,7 +455,7 @@ fn simd_kernels_block(iters: usize, primary: &str) -> String {
             let m = measure_neural(iters, simd);
             print_neural(&m, iters, "simd");
             return format!(
-                ",\n  \"simd_kernels\": {{\n    \"simd_attention_forward_ns_per_op\": {af:.0},\n    \"simd_attention_forward_backward_ns_per_op\": {afb:.0},\n    \"simd_baseline_forward_ns_per_op\": {bf:.0},\n    \"simd_attention_per_state_ns\": {aps:.0},\n    \"simd_attention_batched_ns_per_state\": {abs:.0},\n    \"simd_attention_batched_speedup\": {asp:.3},\n    \"simd_baseline_batched_ns_per_state\": {bbs:.0},\n    \"simd_attention_batched_update_ns\": {tab:.0},\n    \"simd_attention_update_speedup\": {tasp:.3},\n    \"simd_baseline_batched_update_ns\": {tbb:.0}\n  }}",
+                ",\n  \"simd_kernels\": {{\n    \"simd_attention_forward_ns_per_op\": {af:.0},\n    \"simd_attention_forward_backward_ns_per_op\": {afb:.0},\n    \"simd_baseline_forward_ns_per_op\": {bf:.0},\n    \"simd_attention_per_state_ns\": {aps:.0},\n    \"simd_attention_batched_ns_per_state\": {abs:.0},\n    \"simd_attention_batched_speedup\": {asp:.3},\n    \"simd_baseline_batched_ns_per_state\": {bbs:.0},\n    \"simd_attention_batched_update_ns\": {tab:.0},\n    \"simd_baseline_batched_update_ns\": {tbb:.0}\n  }}",
                 af = m.nn.attention_forward_ns,
                 afb = m.nn.attention_forward_backward_ns,
                 bf = m.nn.baseline_forward_ns,
@@ -495,7 +464,6 @@ fn simd_kernels_block(iters: usize, primary: &str) -> String {
                 asp = m.batched.attention_speedup(),
                 bbs = m.batched.baseline_batched_ns_per_state,
                 tab = m.training.attention_batched_update_ns,
-                tasp = m.training.attention_speedup(),
                 tbb = m.training.baseline_batched_update_ns,
             );
         }
@@ -598,7 +566,7 @@ fn main() {
         )
     };
     let json = format!(
-        "{{\n  \"schema\": \"acso-bench-smoke/v5\",\n  \"mode\": \"{mode}\",\n  \"backend\": \"{backend}\",\n  \"threads\": {threads},\n  \"sim_throughput\": {{\n    \"policy\": \"Playbook\",\n    \"topology\": \"paper_small\",\n    \"episodes\": {episodes},\n    \"hours_per_episode\": {hours},\n    \"serial_steps_per_sec\": {serial:.0},\n    \"parallel_steps_per_sec\": {parallel:.0},\n    \"parallel_speedup\": {speedup}\n  }},\n  \"xl_topology\": {{\n    \"xl_scenario\": \"{xl_scenario}\",\n    \"xl_nodes\": {xl_nodes},\n    \"xl_plcs\": {xl_plcs},\n    \"xl_hours\": {xl_hours},\n    \"xl_sparse_steps_per_sec\": {xl_sparse:.0},\n    \"xl_dense_reference_steps_per_sec\": {xl_dense:.0},\n    \"xl_sparse_speedup\": {xl_speedup:.3},\n    \"xl_small_reference_nodes\": {xl_small_nodes},\n    \"xl_small_reference_steps_per_sec\": {xl_small:.0},\n    \"xl_per_host_scaling\": {xl_scaling:.3},\n    \"autoscale_engine\": \"{auto_engine}\",\n    \"autoscale_lanes\": {auto_lanes},\n    \"autoscale_threads\": {auto_threads}\n  }},\n  \"nn_forward\": {{\n    \"topology\": \"paper_small\",\n    \"iters\": {iters},\n    \"attention_forward_ns_per_op\": {af:.0},\n    \"attention_forward_backward_ns_per_op\": {afb:.0},\n    \"baseline_forward_ns_per_op\": {bf:.0}\n  }},\n  \"batched_inference\": {{\n    \"topology\": \"paper_small\",\n    \"batch\": {batch},\n    \"attention_per_state_ns\": {aps:.0},\n    \"attention_batched_ns_per_state\": {abs:.0},\n    \"attention_batched_speedup\": {asp:.3},\n    \"baseline_per_state_ns\": {bps:.0},\n    \"baseline_batched_ns_per_state\": {bbs:.0},\n    \"baseline_batched_speedup\": {bsp:.3}\n  }},\n  \"batched_training\": {{\n    \"topology\": \"paper_small\",\n    \"minibatch\": {tbatch},\n    \"attention_batched_update_ns\": {tab:.0},\n    \"attention_serial_update_ns\": {tas:.0},\n    \"attention_update_speedup\": {tasp:.3},\n    \"baseline_batched_update_ns\": {tbb:.0},\n    \"baseline_serial_update_ns\": {tbs:.0},\n    \"baseline_update_speedup\": {tbsp:.3}\n  }}{simd_block}\n}}\n",
+        "{{\n  \"schema\": \"acso-bench-smoke/v5\",\n  \"mode\": \"{mode}\",\n  \"backend\": \"{backend}\",\n  \"threads\": {threads},\n  \"sim_throughput\": {{\n    \"policy\": \"Playbook\",\n    \"topology\": \"paper_small\",\n    \"episodes\": {episodes},\n    \"hours_per_episode\": {hours},\n    \"serial_steps_per_sec\": {serial:.0},\n    \"parallel_steps_per_sec\": {parallel:.0},\n    \"parallel_speedup\": {speedup}\n  }},\n  \"xl_topology\": {{\n    \"xl_scenario\": \"{xl_scenario}\",\n    \"xl_nodes\": {xl_nodes},\n    \"xl_plcs\": {xl_plcs},\n    \"xl_hours\": {xl_hours},\n    \"xl_sparse_steps_per_sec\": {xl_sparse:.0},\n    \"xl_dense_reference_steps_per_sec\": {xl_dense:.0},\n    \"xl_sparse_speedup\": {xl_speedup:.3},\n    \"xl_small_reference_nodes\": {xl_small_nodes},\n    \"xl_small_reference_steps_per_sec\": {xl_small:.0},\n    \"xl_per_host_scaling\": {xl_scaling:.3},\n    \"autoscale_engine\": \"{auto_engine}\",\n    \"autoscale_lanes\": {auto_lanes},\n    \"autoscale_threads\": {auto_threads}\n  }},\n  \"nn_forward\": {{\n    \"topology\": \"paper_small\",\n    \"iters\": {iters},\n    \"attention_forward_ns_per_op\": {af:.0},\n    \"attention_forward_backward_ns_per_op\": {afb:.0},\n    \"baseline_forward_ns_per_op\": {bf:.0}\n  }},\n  \"batched_inference\": {{\n    \"topology\": \"paper_small\",\n    \"batch\": {batch},\n    \"attention_per_state_ns\": {aps:.0},\n    \"attention_batched_ns_per_state\": {abs:.0},\n    \"attention_batched_speedup\": {asp:.3},\n    \"baseline_per_state_ns\": {bps:.0},\n    \"baseline_batched_ns_per_state\": {bbs:.0},\n    \"baseline_batched_speedup\": {bsp:.3}\n  }},\n  \"batched_training\": {{\n    \"topology\": \"paper_small\",\n    \"minibatch\": {tbatch},\n    \"attention_batched_update_ns\": {tab:.0},\n    \"baseline_batched_update_ns\": {tbb:.0}\n  }}{simd_block}\n}}\n",
         mode = if quick { "quick" } else { "full" },
         backend = backend.name(),
         threads = sim.threads,
@@ -636,11 +604,7 @@ fn main() {
         bsp = primary.batched.baseline_speedup(),
         tbatch = primary.training.batch,
         tab = primary.training.attention_batched_update_ns,
-        tas = primary.training.attention_serial_update_ns,
-        tasp = primary.training.attention_speedup(),
         tbb = primary.training.baseline_batched_update_ns,
-        tbs = primary.training.baseline_serial_update_ns,
-        tbsp = primary.training.baseline_speedup(),
         simd_block = simd_block,
     );
     if let Some(path) = out_path {

@@ -241,7 +241,10 @@ pub fn print_header(artefact: &str, scale: Scale) {
             acso_runtime::BATCH_ENV_VAR
         ),
         None => println!(
-            "Batched engine: off (enable with {}=N or --batch N)",
+            "Batched engine: autoscaled (lockstep at >= {} nodes or >= {} actions; \
+             pin with {}=N or --batch N)",
+            acso_runtime::LOCKSTEP_NODE_THRESHOLD,
+            acso_runtime::LOCKSTEP_ACTION_THRESHOLD,
             acso_runtime::BATCH_ENV_VAR
         ),
     }

@@ -15,44 +15,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl::{epsilon_greedy, DqnConfig, DqnTrainer, FeatureId, Transition};
 
-/// Environment variable selecting the gradient-update implementation:
-/// unset or anything but `0`/`off`/`serial` uses the batched update (the
-/// default); `ACSO_TRAIN_BATCH=0` forces the per-sample serial loop the
-/// batched path is pinned bit-identical to.
-pub const TRAIN_BATCH_ENV_VAR: &str = "ACSO_TRAIN_BATCH";
-
-/// How [`AcsoAgent::maybe_train`] runs the double-DQN gradient update.
-///
-/// The two modes produce **bit-identical** training (weights, losses, TD
-/// errors, transcripts — pinned by `tests/train_determinism.rs`); `Serial`
-/// exists as the reference implementation and for benchmarking the batched
-/// path's speedup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdateMode {
-    /// One stacked forward and one stacked backward for the whole minibatch.
-    #[default]
-    Batched,
-    /// The pre-batching reference: forward/backward one replay sample at a
-    /// time.
-    Serial,
-}
-
-impl UpdateMode {
-    /// Reads [`TRAIN_BATCH_ENV_VAR`] (used at agent construction).
-    pub fn from_env() -> Self {
-        match std::env::var(TRAIN_BATCH_ENV_VAR) {
-            Ok(v)
-                if v == "0"
-                    || v.eq_ignore_ascii_case("off")
-                    || v.eq_ignore_ascii_case("serial") =>
-            {
-                UpdateMode::Serial
-            }
-            _ => UpdateMode::Batched,
-        }
-    }
-}
-
 /// Configuration of the agent's learner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgentConfig {
@@ -133,13 +95,8 @@ pub struct AcsoAgent<N: QNetwork + Clone> {
     /// Step-chain bookkeeping for `eval_features`, letting the greedy path
     /// rewrite only active rows between consecutive hours of one episode.
     eval_scratch: EncodeScratch,
-    /// Reusable flat-gradient buffer for the serial update path.
-    grad_buf: Vec<f32>,
-    /// Reusable `[batch, action-space]` gradient matrix for the batched
-    /// update path.
+    /// Reusable `[batch, action-space]` gradient matrix for the update.
     grad_batch: Matrix,
-    /// Which gradient-update implementation [`AcsoAgent::maybe_train`] runs.
-    update_mode: UpdateMode,
 }
 
 impl<N: QNetwork + Clone> AcsoAgent<N> {
@@ -163,9 +120,7 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
             losses: Vec::new(),
             eval_features: StateFeatures::empty(),
             eval_scratch: EncodeScratch::new(),
-            grad_buf: Vec::new(),
             grad_batch: Matrix::zeros(0, 0),
-            update_mode: UpdateMode::from_env(),
         }
     }
 
@@ -199,21 +154,8 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
             losses: Vec::new(),
             eval_features: StateFeatures::empty(),
             eval_scratch: EncodeScratch::new(),
-            grad_buf: Vec::new(),
             grad_batch: Matrix::zeros(0, 0),
-            update_mode: self.update_mode,
         }
-    }
-
-    /// Selects the gradient-update implementation (both modes are pinned
-    /// bit-identical; `Serial` is the reference/benchmark path).
-    pub fn set_update_mode(&mut self, mode: UpdateMode) {
-        self.update_mode = mode;
-    }
-
-    /// The gradient-update implementation in use.
-    pub fn update_mode(&self) -> UpdateMode {
-        self.update_mode
     }
 
     /// Current exploration rate.
@@ -341,14 +283,13 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
     /// Runs one gradient update if the trainer says it is time. Returns the
     /// batch loss when an update happened.
     ///
-    /// The default ([`UpdateMode::Batched`]) update is batch-first end to
-    /// end: the double-DQN bootstrap, the prediction forward *and* the
-    /// backward pass each run as one stacked pass over the whole minibatch
-    /// (gradients summed per parameter before a single optimizer step),
-    /// with per-sample TD errors still extracted for the priority updates.
-    /// Minibatch states are gathered from the replay feature arena by
-    /// index — nothing is cloned on this path. [`UpdateMode::Serial`] keeps
-    /// the per-sample reference loop; both produce bit-identical training.
+    /// The update is batch-first end to end: the double-DQN bootstrap, the
+    /// prediction forward *and* the backward pass each run as one stacked
+    /// pass over the whole minibatch (gradients summed per parameter before
+    /// a single optimizer step), with per-sample TD errors still extracted
+    /// for the priority updates. Minibatch states are gathered from the
+    /// replay feature arena by index — nothing is cloned on this path. The
+    /// unit tests pin it bit for bit to a per-sample reference loop.
     pub fn maybe_train(&mut self) -> Option<f32> {
         if !self.trainer.should_update() {
             return None;
@@ -357,10 +298,7 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
         if picks.is_empty() {
             return None;
         }
-        let loss = match self.update_mode {
-            UpdateMode::Batched => self.update_batched(&picks),
-            UpdateMode::Serial => self.update_serial(&picks),
-        };
+        let loss = self.update_batched(&picks);
         self.losses.push(loss);
         Some(loss)
     }
@@ -399,7 +337,7 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
         // One stacked forward over the whole minibatch, gathered from the
         // arena; the per-sample predictions are bit-identical to solo cached
         // forwards, so the TD errors (and the priorities they feed) match
-        // the serial path exactly.
+        // the per-sample reference loop exactly.
         let states: Vec<&StateFeatures> = picks
             .iter()
             .map(|(index, _)| self.trainer.features(self.trainer.transition(*index).state))
@@ -438,48 +376,8 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
         loss_sum / batch_len as f32
     }
 
-    /// The pre-batching reference update: forward/backward one sample at a
-    /// time. Kept as the bit-identity baseline (`ACSO_TRAIN_BATCH=0`) and
-    /// the benchmark comparison point.
-    fn update_serial(&mut self, picks: &[(usize, f64)]) -> f32 {
-        let gamma = self.trainer.config().gamma;
-        let batch_len = picks.len();
-        self.online.zero_grad();
-        let bootstraps = self.bootstrap_values(picks);
-        let mut bootstraps = bootstraps.into_iter();
-
-        let mut errors = Vec::with_capacity(batch_len);
-        let mut loss_sum = 0.0f32;
-        for (index, weight) in picks {
-            let t = self.trainer.transition(*index);
-            let bootstrap = if t.done {
-                0.0
-            } else {
-                bootstraps.next().expect("one bootstrap per live sample")
-            };
-            let td_target = t.return_n + t.bootstrap_discount(gamma) * bootstrap;
-
-            let q = self.online.q_values(self.trainer.features(t.state));
-            let prediction = f64::from(q[t.action]);
-            let td_error = prediction - td_target;
-
-            let delta = 1.0f64;
-            let grad_value = td_error.clamp(-delta, delta) * weight / batch_len as f64;
-            self.grad_buf.clear();
-            self.grad_buf.resize(q.len(), 0.0);
-            self.grad_buf[t.action] = grad_value as f32;
-            self.online.backward(&self.grad_buf);
-
-            loss_sum += huber_loss(td_error) as f32;
-            errors.push((*index, td_error.abs()));
-        }
-
-        self.finish_update(&errors);
-        loss_sum / batch_len as f32
-    }
-
-    /// Shared tail of both update modes: optimizer step, priority refresh,
-    /// target-network sync.
+    /// Tail of an update: optimizer step, priority refresh, target-network
+    /// sync.
     fn finish_update(&mut self, errors: &[(usize, f64)]) {
         self.optimizer.step(&mut self.online.params_mut());
         let sync = self.trainer.record_update(errors);
@@ -591,11 +489,122 @@ impl<N: QNetwork + Clone + 'static> DefenderPolicy for AcsoAgent<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::AttentionQNet;
+    use crate::agent::{AttentionQNet, BaselineConvQNet};
     use dbn::learn::{learn_model, LearnConfig};
     use ics_sim::{IcsEnvironment, SimConfig};
 
-    fn make_agent(seed: u64) -> (IcsEnvironment, AcsoAgent<AttentionQNet>) {
+    impl<N: QNetwork + Clone> AcsoAgent<N> {
+        /// The per-sample reference for [`AcsoAgent::maybe_train`]: the same
+        /// sampling, bootstrap, optimizer step and priority refresh, but the
+        /// forward and backward passes run one replay sample at a time
+        /// through the networks' solo cached `q_values`/`backward`.
+        fn maybe_train_serial(&mut self) -> Option<f32> {
+            if !self.trainer.should_update() {
+                return None;
+            }
+            let picks = self.trainer.sample_batch_indices(&mut self.rng);
+            if picks.is_empty() {
+                return None;
+            }
+            let gamma = self.trainer.config().gamma;
+            let batch_len = picks.len();
+            self.online.zero_grad();
+            let mut bootstraps = self.bootstrap_values(&picks).into_iter();
+            let mut errors = Vec::with_capacity(batch_len);
+            let mut loss_sum = 0.0f32;
+            for (index, weight) in &picks {
+                let t = self.trainer.transition(*index);
+                let bootstrap = if t.done {
+                    0.0
+                } else {
+                    bootstraps.next().expect("one bootstrap per live sample")
+                };
+                let td_target = t.return_n + t.bootstrap_discount(gamma) * bootstrap;
+                let q = self.online.q_values(self.trainer.features(t.state));
+                let td_error = f64::from(q[t.action]) - td_target;
+                let mut grad = vec![0.0; q.len()];
+                grad[t.action] = (td_error.clamp(-1.0, 1.0) * weight / batch_len as f64) as f32;
+                self.online.backward(&grad);
+                loss_sum += huber_loss(td_error) as f32;
+                errors.push((*index, td_error.abs()));
+            }
+            self.finish_update(&errors);
+            let loss = loss_sum / batch_len as f32;
+            self.losses.push(loss);
+            Some(loss)
+        }
+    }
+
+    /// One update step: [`AcsoAgent::maybe_train`] or its serial reference.
+    type Update<N> = fn(&mut AcsoAgent<N>) -> Option<f32>;
+
+    /// Plays one ε-greedy training episode of at most `max_steps` steps the
+    /// way `train::train_agent` does, running every update through
+    /// `update`. Returns the losses of the updates that ran.
+    fn train_episode<N: QNetwork + Clone>(
+        agent: &mut AcsoAgent<N>,
+        env: &mut IcsEnvironment,
+        max_steps: usize,
+        update: Update<N>,
+    ) -> Vec<f32> {
+        agent.begin_episode();
+        let obs = env.reset();
+        let (mut action, mut state) = agent.select_action(&obs);
+        let mut losses = Vec::new();
+        for _ in 0..max_steps {
+            let step = env.step(&[agent.action_space().decode(action)]);
+            let (next_action, next_state) = agent.select_action(&step.observation);
+            agent.store_transition(
+                state,
+                action,
+                step.reward + step.shaping_reward,
+                next_state,
+                step.done,
+            );
+            losses.extend(update(agent));
+            action = next_action;
+            state = next_state;
+            if step.done {
+                break;
+            }
+        }
+        agent.end_episode();
+        losses
+    }
+
+    /// Trains one agent through the batched update and an identical one
+    /// through the serial reference, then asserts the two runs agree bit
+    /// for bit: every loss, every weight of both networks and Adam's
+    /// moments.
+    fn assert_serial_matches<N: QNetwork + Clone>(
+        label: &str,
+        train: impl Fn(Update<N>) -> (Vec<f32>, AcsoAgent<N>),
+    ) {
+        let run = |update: Update<N>| {
+            let (losses, mut agent) = train(update);
+            let losses: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
+            let mut weights: Vec<Vec<u32>> = Vec::new();
+            for net in [&mut agent.online, &mut agent.target] {
+                weights.extend(
+                    net.params_mut()
+                        .iter()
+                        .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect()),
+                );
+            }
+            (losses, weights, agent.optimizer.state_bytes())
+        };
+        let (batched_losses, batched_weights, batched_adam) = run(AcsoAgent::maybe_train);
+        let (serial_losses, serial_weights, serial_adam) = run(AcsoAgent::maybe_train_serial);
+        assert!(!batched_losses.is_empty(), "{label}: no update ran");
+        assert_eq!(batched_losses, serial_losses, "{label}: losses diverged");
+        assert_eq!(batched_weights, serial_weights, "{label}: weights diverged");
+        assert_eq!(batched_adam, serial_adam, "{label}: Adam moments diverged");
+    }
+
+    fn make_agent<N: QNetwork + Clone>(
+        seed: u64,
+        network: fn(ActionSpace, u64) -> N,
+    ) -> (IcsEnvironment, AcsoAgent<N>) {
         let sim = SimConfig::tiny().with_max_time(120).with_seed(seed);
         let model = learn_model(&LearnConfig {
             episodes: 1,
@@ -604,7 +613,7 @@ mod tests {
         });
         let env = IcsEnvironment::new(sim);
         let space = ActionSpace::new(env.topology());
-        let net = AttentionQNet::new(space, seed);
+        let net = network(space, seed);
         let config = AgentConfig {
             dqn: DqnConfig {
                 warmup_transitions: 16,
@@ -623,7 +632,7 @@ mod tests {
 
     #[test]
     fn agent_selects_valid_actions_and_trains() {
-        let (mut env, mut agent) = make_agent(3);
+        let (mut env, mut agent) = make_agent(3, AttentionQNet::new);
         agent.begin_episode();
         let obs = env.reset();
         let (mut action, mut state) = agent.select_action(&obs);
@@ -659,55 +668,48 @@ mod tests {
         assert!(agent.replay_arena_live() <= agent.replay_buffered() + 2);
     }
 
-    /// The two update modes must produce bit-identical training: same
-    /// weights, same losses, same exploration stream.
+    /// The batched update must train exactly like the per-sample reference
+    /// loop, for both architectures; release builds also check the train
+    /// golden's configuration (`tests/train_determinism.rs`).
     #[test]
     fn batched_and_serial_updates_are_bit_identical() {
-        let run = |mode: UpdateMode| {
-            let (mut env, mut agent) = make_agent(13);
-            agent.set_update_mode(mode);
-            agent.begin_episode();
-            let obs = env.reset();
-            let (mut action, mut state) = agent.select_action(&obs);
+        assert_serial_matches("attention", |update| {
+            let (mut env, mut agent) = make_agent(13, AttentionQNet::new);
+            (train_episode(&mut agent, &mut env, 64, update), agent)
+        });
+        assert_serial_matches("baseline", |update| {
+            let (mut env, mut agent) = make_agent(13, BaselineConvQNet::new);
+            (train_episode(&mut agent, &mut env, 64, update), agent)
+        });
+        // A full two-episode smoke training per update path is too slow for
+        // the debug test tier.
+        #[cfg(not(debug_assertions))]
+        assert_serial_matches("attention, train golden configuration", |update| {
+            let config = crate::train::TrainConfig::smoke(2).with_seed(11);
+            let model = learn_model(&LearnConfig {
+                episodes: config.dbn_episodes,
+                seed: config.seed,
+                sim: config.sim.clone(),
+            });
+            let env = IcsEnvironment::new(config.sim.clone().with_seed(config.seed));
+            let net = AttentionQNet::new(ActionSpace::new(env.topology()), config.seed);
+            let mut agent = AcsoAgent::new(env.topology(), model, net, config.agent.clone());
             let mut losses = Vec::new();
-            for _ in 0..64 {
-                let step = env.step(&[agent.action_space().decode(action)]);
-                let (next_action, next_state) = agent.select_action(&step.observation);
-                agent.store_transition(
-                    state,
-                    action,
-                    step.reward + step.shaping_reward,
-                    next_state,
-                    step.done,
-                );
-                if let Some(loss) = agent.maybe_train() {
-                    losses.push(loss);
-                }
-                action = next_action;
-                state = next_state;
-                if step.done {
-                    break;
-                }
+            for episode in 0..config.episodes {
+                let sim = config
+                    .sim
+                    .clone()
+                    .with_seed(acso_runtime::episode_seed(config.seed, episode));
+                let mut env = IcsEnvironment::new(sim);
+                losses.extend(train_episode(&mut agent, &mut env, usize::MAX, update));
             }
-            agent.end_episode();
-            let weights: Vec<Vec<f32>> = agent
-                .network_mut()
-                .params_mut()
-                .iter()
-                .map(|p| p.value.data().to_vec())
-                .collect();
-            (losses, weights)
-        };
-        let (batched_losses, batched_weights) = run(UpdateMode::Batched);
-        let (serial_losses, serial_weights) = run(UpdateMode::Serial);
-        assert!(!batched_losses.is_empty(), "no update ran");
-        assert_eq!(batched_losses, serial_losses, "losses diverged");
-        assert_eq!(batched_weights, serial_weights, "weights diverged");
+            (losses, agent)
+        });
     }
 
     #[test]
     fn epsilon_decays_across_episodes() {
-        let (_, mut agent) = make_agent(5);
+        let (_, mut agent) = make_agent(5, AttentionQNet::new);
         let before = agent.epsilon();
         agent.end_episode();
         agent.end_episode();
@@ -716,7 +718,7 @@ mod tests {
 
     #[test]
     fn defender_policy_interface_is_greedy_and_valid() {
-        let (mut env, mut agent) = make_agent(7);
+        let (mut env, mut agent) = make_agent(7, AttentionQNet::new);
         agent.set_explore(false);
         let obs = env.reset();
         let topo = env.topology().clone();

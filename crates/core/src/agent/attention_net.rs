@@ -540,8 +540,9 @@ fn attend(
     }
 }
 
-/// `hcat` of two row blocks written into a pooled matrix: every output row
-/// is `left.row(i) ++ right_row` (with `right` broadcast when single-row).
+/// Horizontal concatenation of two row blocks into a pooled matrix: every
+/// output row is `left.row(i) ++ right_row` (with `right` broadcast when
+/// single-row).
 fn hcat_broadcast_into(left: &Matrix, right: &Matrix, out: &mut Matrix) {
     let lc = left.cols();
     for i in 0..out.rows() {

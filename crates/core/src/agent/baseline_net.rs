@@ -88,9 +88,9 @@ impl BaselineConvQNet {
         dst[at..].fill(0.0);
     }
 
-    /// Backward through the MLP for a `[rows, action-space]` gradient (one
-    /// row per state of the most recent cached forward).
-    fn backward_rows(&mut self, grad: Matrix) {
+    /// Backward through the MLP for the one-row gradient of the most recent
+    /// cached solo forward.
+    fn backward_row(&mut self, grad: Matrix) {
         let s = &mut self.scratch;
         let x = self.out.backward(&grad, s);
         s.recycle(grad);
@@ -194,7 +194,7 @@ impl QNetwork for BaselineConvQNet {
         );
         let mut grad = self.scratch.take(1, grad_q.len());
         grad.row_mut(0).copy_from_slice(grad_q);
-        self.backward_rows(grad);
+        self.backward_row(grad);
     }
 
     /// The batched training path: every layer of the MLP is row-wise, so the
@@ -223,18 +223,32 @@ impl QNetwork for BaselineConvQNet {
         out
     }
 
-    /// One stacked backward matmul chain for the whole minibatch. Each
-    /// state contributes a single row, so the tiled kernels' ascending-`k`
-    /// accumulation reproduces the serial per-sample gradient sum bit for
-    /// bit.
+    /// One stacked backward per layer for the whole minibatch, each state a
+    /// single-row item of the layers' `backward_batch`. The dense layers
+    /// flush their weight gradients once per item, so the sums are the
+    /// per-state loop's bit for bit on every backend; one stacked chain
+    /// over all rows would round differently under fused multiply-adds.
     fn backward_batch(&mut self, grad_q: &Matrix) {
         assert_eq!(
             grad_q.cols(),
             self.action_space.len(),
             "gradient width mismatch"
         );
-        let grad = self.scratch.take_copy(grad_q);
-        self.backward_rows(grad);
+        let s = &mut self.scratch;
+        let grad = Batch::new(s.take_copy(grad_q), grad_q.rows());
+        let x = self.out.backward_batch(&grad, s);
+        s.recycle(grad.into_matrix());
+        let y = self.fc3.backward_batch(&x, s);
+        s.recycle(x.into_matrix());
+        let x = self.act2.backward_batch(&y, s);
+        s.recycle(y.into_matrix());
+        let y = self.fc2.backward_batch(&x, s);
+        s.recycle(x.into_matrix());
+        let x = self.act1.backward_batch(&y, s);
+        s.recycle(y.into_matrix());
+        let y = self.fc1.backward_batch(&x, s);
+        s.recycle(x.into_matrix());
+        s.recycle(y.into_matrix());
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

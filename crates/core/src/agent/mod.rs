@@ -6,7 +6,7 @@ mod baseline_net;
 mod batched;
 pub mod io;
 
-pub use acso_agent::{AcsoAgent, AgentConfig, UpdateMode, TRAIN_BATCH_ENV_VAR};
+pub use acso_agent::{AcsoAgent, AgentConfig};
 pub use attention_net::AttentionQNet;
 pub use baseline_net::BaselineConvQNet;
 pub use batched::BatchedAgentPolicy;
@@ -91,10 +91,11 @@ pub trait QNetwork: Send {
     /// `q_values`/`backward` per state in row order, on every kernel
     /// backend — the property that makes the batched DQN update reproduce
     /// serial-update training exactly (pinned by `tests/train_determinism.rs`
-    /// on the reference backend and by `tests/backend_equivalence.rs` on
-    /// every backend). An implementation may skip rows whose gradient is
-    /// zero as long as skipping changes no gradient bit: the DQN loss
-    /// reaches one Q-value per state.
+    /// on the reference backend, and on every backend by
+    /// `tests/backend_equivalence.rs` for the attention net and by the
+    /// agent's unit tests for both nets). An implementation may skip rows
+    /// whose gradient is zero as long as skipping changes no gradient bit:
+    /// the DQN loss reaches one Q-value per state.
     ///
     /// # Panics
     ///

@@ -136,9 +136,9 @@ impl CheckpointConfig {
 /// depend on everything learned before it — so unlike evaluation it does not
 /// fan out over the rollout engine. The gradient step, however, is
 /// batch-first: every DQN update runs one stacked forward and one stacked
-/// backward over the whole minibatch (see [`crate::agent::UpdateMode`];
-/// `ACSO_TRAIN_BATCH=0` selects the bit-identical per-sample reference
-/// loop). The parallelism in a training run lives in the DBN
+/// backward over the whole minibatch (see [`AcsoAgent::maybe_train`]), bit
+/// for bit what a per-sample loop would compute. The parallelism in a
+/// training run lives in the DBN
 /// data-collection phase ([`dbn::learn::learn_model`] fans episodes over
 /// `ACSO_THREADS` workers) and, one level up, in
 /// [`crate::experiments::grid_search`] running independent training

@@ -8,12 +8,12 @@
 //! `rows_per_item` rows between item starts).
 //!
 //! Row-wise layers (dense, activation) process the whole stacked matrix with
-//! one tiled kernel call; layers that mix information *across* rows
-//! (self-attention over the nodes of one state, 1-D convolution over one
-//! history) use the item boundary so no information leaks between items and
-//! every item's output is **bit-identical** to a solo [`crate::Layer::forward`]
-//! pass — the contract `tests/batch_forward.rs` pins down, and the property
-//! that lets the batched rollout engine promise bit-identical transcripts.
+//! one tiled kernel call; self-attention, which mixes information *across*
+//! the rows (nodes) of one state, uses the item boundary so no information
+//! leaks between items and every item's output is **bit-identical** to a
+//! solo [`crate::Layer::forward`] pass — the contract `tests/batch_forward.rs`
+//! pins down, and the property that lets the batched rollout engine promise
+//! bit-identical transcripts.
 
 use crate::matrix::Matrix;
 use crate::scratch::Scratch;
@@ -96,13 +96,6 @@ impl Batch {
         self.matrix.copy_row_block_into(self.item_start(item), out);
     }
 
-    /// Overwrites item `i`'s row block with `src` (a `rows_per_item x cols`
-    /// matrix).
-    pub fn write_item(&mut self, item: usize, src: &Matrix) {
-        let start = self.item_start(item);
-        self.matrix.write_row_block(start, src);
-    }
-
     /// Item `i`'s rows as one contiguous row-major slice.
     pub fn item(&self, item: usize) -> &[f32] {
         let start = self.item_start(item) * self.cols();
@@ -131,7 +124,7 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut batch = Batch::take(&mut scratch, 3, 2, 2);
         let block = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        batch.write_item(1, &block);
+        batch.matrix_mut().write_row_block(2, &block);
         let mut out = Matrix::zeros(2, 2);
         batch.copy_item_into(1, &mut out);
         assert_eq!(out, block);

@@ -18,16 +18,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, seed: u64) -> Matrix {
     Matrix::from_vec(fan_in, fan_out, data)
 }
 
-/// He/Kaiming uniform initialisation, suited to ReLU-family activations.
-pub fn he_uniform(fan_in: usize, fan_out: usize, seed: u64) -> Matrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let limit = (6.0 / fan_in as f32).sqrt();
-    let data = (0..fan_in * fan_out)
-        .map(|_| rng.gen_range(-limit..=limit))
-        .collect();
-    Matrix::from_vec(fan_in, fan_out, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,13 +32,5 @@ mod tests {
         assert_ne!(m, xavier_uniform(10, 20, 8));
         // Not degenerate.
         assert!(m.norm() > 0.0);
-    }
-
-    #[test]
-    fn he_respects_limit() {
-        let m = he_uniform(16, 8, 3);
-        let limit = (6.0f32 / 16.0).sqrt();
-        assert!(m.data().iter().all(|v| v.abs() <= limit + 1e-6));
-        assert_eq!(m.shape(), (16, 8));
     }
 }

@@ -2,15 +2,11 @@
 
 mod activation;
 mod attention;
-mod conv1d;
 mod dense;
-mod sequential;
 
 pub use activation::{Activation, ActivationKind};
 pub use attention::SelfAttention;
-pub use conv1d::Conv1d;
 pub use dense::Dense;
-pub use sequential::Sequential;
 
 use crate::batch::Batch;
 use crate::matrix::Matrix;
@@ -50,9 +46,9 @@ pub trait Layer: Send {
     /// * **per-item bit-exactness** — item `i` of the output is bit-identical
     ///   to `forward` on item `i` alone. Row-wise layers get this for free
     ///   (the tiled kernels reduce each output element over ascending `k`
-    ///   regardless of how many rows are stacked); layers that mix rows
-    ///   (self-attention, 1-D convolution) respect the batch's item boundary
-    ///   explicitly, so no information leaks between items.
+    ///   regardless of how many rows are stacked); self-attention, which
+    ///   mixes rows, respects the batch's item boundary explicitly, so no
+    ///   information leaks between items.
     /// * **inference-only** — no backward cache is written or clobbered; a
     ///   `forward`/`backward` pair may bracket any number of
     ///   `forward_batch` calls.
@@ -79,8 +75,8 @@ pub trait Layer: Send {
     /// forward on the stacked matrix is already bit-identical per item (the
     /// tiled kernels reduce each output element over ascending `k`
     /// regardless of row count) and its cache *is* the stacked batch cache.
-    /// Layers that mix rows (self-attention, 1-D convolution) override this
-    /// with an explicit per-item boundary and a dedicated batch cache.
+    /// Self-attention, which mixes rows, overrides this with an explicit
+    /// per-item boundary and a dedicated batch cache.
     ///
     /// A `forward_batch_train`/`backward_batch` pair may share cache storage
     /// with the solo `forward`/`backward` pair; the two pairs must not be

@@ -6,15 +6,16 @@
 //!
 //! * a dense row-major [`Matrix`] type with the linear algebra used by the
 //!   layers;
-//! * [`layers`] — fully-connected, activation, scaled-dot-product
-//!   self-attention and 1-D convolution layers, each implementing [`Layer`]
-//!   with a manual backward pass;
-//! * [`optim`] — Adam and SGD optimizers over [`Param`] collections;
-//! * [`loss`] — the Huber loss used by the DQN temporal-difference update.
+//! * [`layers`] — fully-connected, activation and scaled-dot-product
+//!   self-attention layers, each implementing [`Layer`] with a manual
+//!   backward pass;
+//! * [`optim`] — the Adam optimizer over [`Param`] collections, with a
+//!   byte-exact state encoding for checkpoints.
 //!
 //! The library is deliberately small: no autograd graph, no broadcasting
-//! rules, no GPU. Layers cache whatever they need from the forward pass and
-//! `backward` consumes that cache, which is exactly the discipline a DQN
+//! rules, no GPU, no loss functions (the DQN update computes its Huber
+//! gradient itself). Layers cache whatever they need from the forward pass
+//! and `backward` consumes that cache, which is exactly the discipline a DQN
 //! training loop needs.
 //!
 //! Every forward/backward pass takes a [`Scratch`] buffer pool; at steady
@@ -35,31 +36,41 @@
 //! # Example
 //!
 //! ```
-//! use neural::{layers::{Activation, Dense, Sequential}, Layer, Matrix, Scratch};
+//! use neural::layers::{Activation, Dense};
 //! use neural::optim::Adam;
-//! use neural::loss::huber;
+//! use neural::{Layer, Matrix, Scratch};
 //!
-//! // A tiny regression: y = 2x, learned by a 2-layer MLP.
-//! let mut net = Sequential::new(vec![
-//!     Box::new(Dense::new(1, 8, 1)),
-//!     Box::new(Activation::relu()),
-//!     Box::new(Dense::new(8, 1, 2)),
-//! ]);
+//! // A tiny regression: y = 2x, learned by a 2-layer MLP whose layers are
+//! // chained by hand, the way the Q-networks chain theirs.
+//! let mut hidden = Dense::new(1, 8, 1);
+//! let mut relu = Activation::relu();
+//! let mut out = Dense::new(8, 1, 2);
 //! let mut opt = Adam::new(1e-2);
 //! let mut scratch = Scratch::new();
+//! let x = Matrix::from_rows(&[&[0.0], &[0.5], &[1.0], &[1.5]]);
 //! for _ in 0..300 {
-//!     let x = Matrix::from_rows(&[&[0.0], &[0.5], &[1.0], &[1.5]]);
-//!     let target = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0], &[3.0]]);
-//!     let pred = net.forward(&x, &mut scratch);
-//!     let (_, grad) = huber(&pred, &target, 1.0);
-//!     net.zero_grad();
-//!     let grad_in = net.backward(&grad, &mut scratch);
-//!     scratch.recycle(pred);
-//!     scratch.recycle(grad_in);
-//!     opt.step(&mut net.params_mut());
+//!     let h = hidden.forward(&x, &mut scratch);
+//!     let a = relu.forward(&h, &mut scratch);
+//!     let pred = out.forward(&a, &mut scratch);
+//!     // Mean-squared-error gradient against the targets 2x.
+//!     let grad = Matrix::from_vec(
+//!         4,
+//!         1,
+//!         (0..4).map(|i| (pred.get(i, 0) - 2.0 * x.get(i, 0)) / 2.0).collect(),
+//!     );
+//!     for layer in [&mut hidden as &mut dyn Layer, &mut relu, &mut out] {
+//!         layer.zero_grad();
+//!     }
+//!     let g = out.backward(&grad, &mut scratch);
+//!     let g = relu.backward(&g, &mut scratch);
+//!     let _ = hidden.backward(&g, &mut scratch);
+//!     let mut params = hidden.params_mut();
+//!     params.extend(out.params_mut());
+//!     opt.step(&mut params);
 //! }
-//! let pred = net.forward(&Matrix::from_rows(&[&[2.0]]), &mut scratch);
-//! assert!((pred.get(0, 0) - 4.0).abs() < 0.5);
+//! let h = hidden.forward(&Matrix::from_rows(&[&[2.0]]), &mut scratch);
+//! let a = relu.forward(&h, &mut scratch);
+//! assert!((out.forward(&a, &mut scratch).get(0, 0) - 4.0).abs() < 0.5);
 //! ```
 
 #![warn(missing_docs)]
@@ -68,7 +79,6 @@ pub mod backend;
 pub mod batch;
 pub mod init;
 pub mod layers;
-pub mod loss;
 pub mod matrix;
 pub mod optim;
 pub mod param;

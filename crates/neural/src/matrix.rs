@@ -125,20 +125,6 @@ impl Matrix {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Copies one row into a new single-row matrix.
-    pub fn row_matrix(&self, row: usize) -> Matrix {
-        Matrix::from_vec(1, self.cols, self.row(row).to_vec())
-    }
-
-    /// Builds a matrix by stacking the selected rows (in the given order).
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
-        for &i in indices {
-            data.extend_from_slice(self.row(i));
-        }
-        Matrix::from_vec(indices.len(), self.cols, data)
-    }
-
     /// Matrix product `self * other`.
     ///
     /// # Panics
@@ -359,27 +345,6 @@ impl Matrix {
         }
     }
 
-    /// Accumulates the outer product of two vectors into `self`
-    /// (`self[i][j] += col[i] * row[j]`) — the rank-1 gradient update of a
-    /// single-row layer input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not `col.len() x row.len()`.
-    pub fn add_outer(&mut self, col: &[f32], row: &[f32]) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (col.len(), row.len()),
-            "outer-product shape mismatch"
-        );
-        for (i, &cv) in col.iter().enumerate() {
-            let out_row = &mut self.data[i * self.cols..(i + 1) * self.cols];
-            for (o, &rv) in out_row.iter_mut().zip(row) {
-                *o += cv * rv;
-            }
-        }
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -418,61 +383,6 @@ impl Matrix {
             .zip(&other.data)
             .map(|(a, b)| a + b)
             .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Element-wise difference; shapes must match.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "sub shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Element-wise product; shapes must match.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Adds a single-row matrix to every row (bias broadcast).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 x self.cols()`.
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        assert_eq!(bias.rows, 1, "bias must be a row vector");
-        assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        let mut out = self.clone();
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[i * self.cols + j] += bias.data[j];
-            }
-        }
-        out
-    }
-
-    /// Multiplies every element by a scalar.
-    pub fn scale(&self, factor: f32) -> Matrix {
-        let data = self.data.iter().map(|x| x * factor).collect();
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
@@ -584,7 +494,7 @@ impl Matrix {
         assert_eq!(
             (out.rows, out.cols),
             (1, self.cols),
-            "mean_rows output shape mismatch"
+            "mean_rows_into output shape mismatch"
         );
         out.fill(0.0);
         out.add_sum_rows(self);
@@ -622,7 +532,7 @@ impl Matrix {
         assert_eq!(
             (out.rows, out.cols),
             (indices.len(), self.cols),
-            "select_rows output shape mismatch"
+            "select_rows_into output shape mismatch"
         );
         for (slot, &i) in indices.iter().enumerate() {
             let src = &self.data[i * self.cols..(i + 1) * self.cols];
@@ -679,21 +589,6 @@ impl Matrix {
         self.data
     }
 
-    /// Sum over rows, returning a `1 x cols` matrix.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        out.add_sum_rows(self);
-        out
-    }
-
-    /// Mean over rows, returning a `1 x cols` matrix.
-    pub fn mean_rows(&self) -> Matrix {
-        if self.rows == 0 {
-            return Matrix::zeros(1, self.cols);
-        }
-        self.sum_rows().scale(1.0 / self.rows as f32)
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -706,70 +601,6 @@ impl Matrix {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&self) -> Matrix {
-        let mut out = self.clone();
-        out.softmax_rows_inplace();
-        out
-    }
-
-    /// Horizontally concatenates two matrices with equal row counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts differ.
-    pub fn hcat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hcat row mismatch");
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for i in 0..self.rows {
-            data.extend_from_slice(self.row(i));
-            data.extend_from_slice(other.row(i));
-        }
-        Matrix::from_vec(self.rows, cols, data)
-    }
-
-    /// Vertically stacks two matrices with equal column counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts differ.
-    pub fn vcat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "vcat column mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Matrix::from_vec(self.rows + other.rows, self.cols, data)
-    }
-
-    /// Splits the matrix after `left_cols` columns into two matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `left_cols > self.cols()`.
-    pub fn hsplit(&self, left_cols: usize) -> (Matrix, Matrix) {
-        assert!(left_cols <= self.cols, "hsplit out of bounds");
-        let mut left = Matrix::zeros(self.rows, left_cols);
-        let mut right = Matrix::zeros(self.rows, self.cols - left_cols);
-        for i in 0..self.rows {
-            left.data[i * left_cols..(i + 1) * left_cols]
-                .copy_from_slice(&self.row(i)[..left_cols]);
-            right.data[i * (self.cols - left_cols)..(i + 1) * (self.cols - left_cols)]
-                .copy_from_slice(&self.row(i)[left_cols..]);
-        }
-        (left, right)
-    }
-
-    /// Index of the maximum element of a single-row matrix.
-    pub fn argmax_row(&self, row: usize) -> usize {
-        let slice = self.row(row);
-        slice
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
     }
 
     /// Frobenius norm.
@@ -939,9 +770,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[3.0, 4.0]]);
         assert_eq!(a.add(&b).data(), &[4.0, 6.0]);
-        assert_eq!(b.sub(&a).data(), &[2.0, 2.0]);
-        assert_eq!(a.hadamard(&b).data(), &[3.0, 8.0]);
-        assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
         assert_eq!(a.map(|x| x + 1.0).data(), &[2.0, 3.0]);
         let mut acc = Matrix::zeros(1, 2);
         acc.accumulate(&a);
@@ -952,37 +780,29 @@ mod tests {
     #[test]
     fn broadcast_and_reductions() {
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let bias = Matrix::row_vector(&[10.0, 20.0]);
-        assert_eq!(x.add_row_broadcast(&bias).data(), &[11.0, 22.0, 13.0, 24.0]);
-        assert_eq!(x.sum_rows().data(), &[4.0, 6.0]);
-        assert_eq!(x.mean_rows().data(), &[2.0, 3.0]);
+        let mut broadcast = x.clone();
+        broadcast.add_row_inplace(&Matrix::row_vector(&[10.0, 20.0]));
+        assert_eq!(broadcast.data(), &[11.0, 22.0, 13.0, 24.0]);
+        let mut sums = Matrix::zeros(1, 2);
+        sums.add_sum_rows(&x);
+        assert_eq!(sums.data(), &[4.0, 6.0]);
+        let mut means = Matrix::zeros(1, 2);
+        x.mean_rows_into(&mut means);
+        assert_eq!(means.data(), &[2.0, 3.0]);
         assert_eq!(x.mean(), 2.5);
         assert!((x.norm() - (30.0f32).sqrt()).abs() < 1e-6);
     }
 
     #[test]
     fn softmax_rows_are_normalised() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.0, 0.0, 0.0]]);
-        let s = x.softmax_rows();
+        let mut s = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.0, 0.0, 0.0]]);
+        s.softmax_rows_inplace();
         for i in 0..2 {
             let sum: f32 = s.row(i).iter().sum();
             assert!((sum - 1.0).abs() < 1e-6);
         }
         assert!(s.get(0, 2) > s.get(0, 0));
         assert!((s.get(1, 0) - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn concatenation_and_splitting() {
-        let a = Matrix::from_rows(&[&[1.0], &[2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let cat = a.hcat(&b);
-        assert_eq!(cat.shape(), (2, 3));
-        let (left, right) = cat.hsplit(1);
-        assert_eq!(left, a);
-        assert_eq!(right, b);
-        let stacked = a.vcat(&a);
-        assert_eq!(stacked.shape(), (4, 1));
     }
 
     #[test]
@@ -1014,11 +834,6 @@ mod tests {
     #[test]
     fn in_place_ops_match_allocating_ops() {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]);
-        let bias = Matrix::row_vector(&[10.0, 20.0]);
-
-        let mut m = a.clone();
-        m.add_row_inplace(&bias);
-        assert_eq!(m, a.add_row_broadcast(&bias));
 
         let mut m = a.clone();
         m.map_inplace(|x| x.max(0.0));
@@ -1026,18 +841,7 @@ mod tests {
 
         let mut m = a.clone();
         m.scale_inplace(0.5);
-        assert_eq!(m, a.scale(0.5));
-
-        let mut m = a.clone();
-        m.softmax_rows_inplace();
-        assert_eq!(m, a.softmax_rows());
-
-        let mut sums = Matrix::zeros(1, 2);
-        sums.add_sum_rows(&a);
-        assert_eq!(sums, a.sum_rows());
-        let mut means = Matrix::zeros(1, 2);
-        a.mean_rows_into(&mut means);
-        assert_eq!(means, a.mean_rows());
+        assert_eq!(m, a.map(|x| x * 0.5));
 
         let mut m = Matrix::zeros(1, 1);
         m.copy_from(&a);
@@ -1045,17 +849,13 @@ mod tests {
         m.fill(0.0);
         assert_eq!(m.sum(), 0.0);
 
-        let mut sel = Matrix::zeros(2, 2);
-        a.select_rows_into(&[1, 0], &mut sel);
-        assert_eq!(sel, a.select_rows(&[1, 0]));
+        let mut sel = Matrix::zeros(3, 2);
+        a.select_rows_into(&[1, 0, 1], &mut sel);
+        assert_eq!(sel.data(), &[3.0, 4.0, 1.0, -2.0, 3.0, 4.0]);
 
         let mut acc = a.clone();
         acc.add_scaled(&a, 2.0);
-        assert_eq!(acc, a.scale(3.0));
-
-        let mut outer = Matrix::zeros(2, 2);
-        outer.add_outer(&[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(outer.data(), &[3.0, 4.0, 6.0, 8.0]);
+        assert_eq!(acc, a.map(|x| x * 3.0));
 
         let mut row = a.clone();
         row.row_mut(0)[0] = 9.0;
@@ -1115,17 +915,5 @@ mod tests {
         assert_eq!(out.row(2), &[3.0, 4.0]);
         assert_eq!(out.row(3), &[5.0, 6.0]);
         assert_eq!(out.row(0), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn row_selection_and_argmax() {
-        let m = Matrix::from_rows(&[&[1.0, 9.0, 2.0], &[7.0, 0.0, 3.0]]);
-        assert_eq!(m.argmax_row(0), 1);
-        assert_eq!(m.argmax_row(1), 0);
-        let sel = m.select_rows(&[1, 0, 1]);
-        assert_eq!(sel.shape(), (3, 3));
-        assert_eq!(sel.row(0), m.row(1));
-        assert_eq!(sel.row(2), m.row(1));
-        assert_eq!(m.row_matrix(1).row(0), m.row(1));
     }
 }

@@ -6,8 +6,11 @@
 //! is the layer-level property that lets the batched DQN update reproduce
 //! serial-update training transcripts exactly.
 
+mod common;
+
+use common::Chain;
 use neural::batch::Batch;
-use neural::layers::{Activation, Conv1d, Dense, SelfAttention, Sequential};
+use neural::layers::{Activation, Dense, SelfAttention};
 use neural::{Layer, Matrix, Scratch};
 
 /// A deterministic pseudo-random stacked input (values vary across items so
@@ -142,18 +145,9 @@ fn attention_batched_training_is_bit_identical_to_serial() {
 }
 
 #[test]
-fn conv1d_batched_training_is_bit_identical_to_serial() {
-    // Stride 2, kernel 3 over 8-step items: backward windows must restart at
-    // each item boundary, never straddle it.
-    let mut batched = Conv1d::new(3, 4, 3, 2, 11);
-    let mut solo = Conv1d::new(3, 4, 3, 2, 11);
-    assert_training_matches_serial(&mut batched, &mut solo, &stacked(6, 8, 3, 13), 14);
-}
-
-#[test]
 fn sequential_batched_training_is_bit_identical_to_serial() {
     let make = || {
-        Sequential::new(vec![
+        Chain(vec![
             Box::new(Dense::new(5, 8, 1)) as Box<dyn Layer>,
             Box::new(Activation::relu()),
             Box::new(SelfAttention::new(8, 8, 6, 2)),

@@ -3,8 +3,11 @@
 //! **bit-identical** to a solo `forward` on that item — and leaves the
 //! backward caches untouched.
 
+mod common;
+
+use common::Chain;
 use neural::batch::Batch;
-use neural::layers::{Activation, Conv1d, Dense, SelfAttention, Sequential};
+use neural::layers::{Activation, Dense, SelfAttention};
 use neural::{Layer, Matrix, Scratch};
 
 /// A deterministic pseudo-random input: values vary across items so leakage
@@ -63,14 +66,6 @@ fn activation_batch_is_bit_identical_per_item() {
 }
 
 #[test]
-fn conv1d_batch_is_bit_identical_per_item() {
-    // Stride 2 with kernel 3 over 8-step items: windows must restart at each
-    // item boundary, never straddle it.
-    let mut layer = Conv1d::new(3, 4, 3, 2, 11);
-    assert_batch_matches_solo(&mut layer, &stacked_input(6, 8, 3, 13));
-}
-
-#[test]
 fn attention_batch_is_bit_identical_per_item() {
     // The attention matrix must be block-diagonal over items: every item's
     // rows attend only to that item's rows.
@@ -81,7 +76,7 @@ fn attention_batch_is_bit_identical_per_item() {
 
 #[test]
 fn sequential_batch_is_bit_identical_per_item() {
-    let mut layer = Sequential::new(vec![
+    let mut layer = Chain(vec![
         Box::new(Dense::new(5, 8, 1)) as Box<dyn Layer>,
         Box::new(Activation::relu()),
         Box::new(SelfAttention::new(8, 8, 6, 2)),

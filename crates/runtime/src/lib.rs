@@ -58,15 +58,18 @@ pub fn threads_override() -> Option<usize> {
         .filter(|n| *n > 0)
 }
 
-/// Environment variable that turns on the lockstep batched rollout engine
-/// and sets its lane count (`0`, empty or unparsable values leave the
-/// engine off). `ACSO_BATCH=1` runs the batched engine with a single lane —
-/// useful for pinning down that the engine itself, not the batch width, is
-/// transcript-neutral.
+/// Environment variable that pins the lockstep batched rollout engine and
+/// its lane count. Unset, `0`, empty or unparsable values pin nothing: the
+/// autoscale [`plan`] then picks the engine from the workload's shape,
+/// lockstep at [`LOCKSTEP_NODE_THRESHOLD`] nodes or
+/// [`LOCKSTEP_ACTION_THRESHOLD`] actions and up (for example
+/// `registry-1000`), episode-parallel below. `ACSO_BATCH=1` runs the
+/// batched engine with a single lane — useful for pinning down that the
+/// engine itself, not the batch width, is transcript-neutral.
 pub const BATCH_ENV_VAR: &str = "ACSO_BATCH";
 
 /// Lockstep-batch lane count: `Some(n)` if `ACSO_BATCH` is set to a positive
-/// integer, `None` (engine off) otherwise.
+/// integer, `None` (no override; the autoscale plan decides) otherwise.
 pub fn batch_lanes() -> Option<usize> {
     batch_lanes_from(std::env::var(BATCH_ENV_VAR).ok().as_deref())
 }

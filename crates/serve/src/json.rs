@@ -14,6 +14,13 @@
 
 use std::fmt;
 
+/// Deepest nesting of arrays and objects a document may have. The parser
+/// recurses once per level, so without a cap a line of a few thousand `[`
+/// would overflow the stack of the thread that serves requests; the cap also
+/// bounds the recursion that drops a parsed value. Protocol requests nest a
+/// few levels deep.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -109,7 +116,7 @@ impl JsonValue {
     pub fn parse(text: &str) -> Result<Self, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -198,7 +205,8 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value nested inside `depth` arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err(format!("unexpected end of input at byte {pos}"));
@@ -208,8 +216,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         b't' => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         b'f' => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
         b'"' => parse_string(bytes, pos).map(JsonValue::Str),
-        b'[' => parse_array(bytes, pos),
-        b'{' => parse_object(bytes, pos),
+        b'[' | b'{' if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        b'[' => parse_array(bytes, pos, depth + 1),
+        b'{' => parse_object(bytes, pos, depth + 1),
         b'-' | b'0'..=b'9' => parse_number(bytes, pos),
         other => Err(format!(
             "unexpected character `{}` at byte {pos}",
@@ -337,7 +348,7 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
     Ok(code)
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     debug_assert_eq!(bytes[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -347,7 +358,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -362,7 +373,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     debug_assert_eq!(bytes[*pos], b'{');
     *pos += 1;
     let mut pairs = Vec::new();
@@ -382,7 +393,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected `:` at byte {pos}"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -466,6 +477,23 @@ mod tests {
         ] {
             let err = JsonValue::parse(text).unwrap_err();
             assert!(err.contains(needle), "`{text}` -> {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_runs_out() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(JsonValue::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nested("{\"k\":", "}", MAX_DEPTH)).is_ok());
+        for text in [
+            nested("[", "]", MAX_DEPTH + 1),
+            nested("{\"k\":", "}", MAX_DEPTH + 1),
+            "[".repeat(100_000),
+        ] {
+            let err = JsonValue::parse(&text).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
         }
     }
 

@@ -1233,6 +1233,19 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_are_parse_errors_and_the_batch_goes_on() {
+        let mut service = service();
+        let outcome = service.handle_batch(&[
+            "[".repeat(100_000),
+            r#"{"id":2,"method":"list_scenarios"}"#.to_string(),
+        ]);
+        let (code, message) = parse_err(&outcome.responses[0]);
+        assert_eq!(code, "parse_error");
+        assert!(message.contains("nesting deeper than"), "{message}");
+        parse_ok(&outcome.responses[1]);
+    }
+
+    #[test]
     fn metrics_snapshot_reports_request_counts_and_prometheus_text() {
         let mut service = service();
         service.handle_line(r#"{"id":1,"method":"list_scenarios"}"#);

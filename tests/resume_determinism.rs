@@ -11,9 +11,9 @@
 //! freshly constructed agent (new DBN fit, new network init, new RNG), the
 //! way a restarted process would, and only then applies the snapshot.
 //!
-//! Both network architectures and both gradient-update implementations are
-//! covered; the attention/batched combination runs in every tier-1 pass, the
-//! other three are release-only (the batch-determinism CI job runs them).
+//! Both network architectures are covered; the attention network runs in
+//! every tier-1 pass, the baseline network is release-only (the
+//! batch-determinism CI job runs it).
 //!
 //! Re-bless (only for an intentional change to the training semantics) with:
 //!
@@ -24,7 +24,7 @@
 use acso_core::agent::io::save_weights_to;
 #[cfg(not(debug_assertions))]
 use acso_core::agent::BaselineConvQNet;
-use acso_core::agent::{AcsoAgent, AttentionQNet, QNetwork, UpdateMode};
+use acso_core::agent::{AcsoAgent, AttentionQNet, QNetwork};
 use acso_core::snapshot::fnv1a64;
 use acso_core::train::{train_agent, train_agent_checkpointed, TrainConfig, TrainReport};
 use acso_core::{ActionSpace, CheckpointConfig, DefenderPolicy};
@@ -50,10 +50,7 @@ fn config() -> TrainConfig {
 /// Builds a cold agent exactly the way `train_attention_acso` does — from
 /// nothing but the configuration — so the resumed half genuinely rebuilds
 /// the world a restarted process would.
-fn cold_agent<N: QNetwork + Clone>(
-    make: impl Fn(ActionSpace, u64) -> N,
-    mode: UpdateMode,
-) -> AcsoAgent<N> {
+fn cold_agent<N: QNetwork + Clone>(make: impl Fn(ActionSpace, u64) -> N) -> AcsoAgent<N> {
     let config = config();
     let dbn_model = learn_model(&LearnConfig {
         episodes: config.dbn_episodes,
@@ -62,9 +59,7 @@ fn cold_agent<N: QNetwork + Clone>(
     });
     let env = IcsEnvironment::new(config.sim.clone().with_seed(config.seed));
     let network = make(ActionSpace::new(env.topology()), config.seed);
-    let mut agent = AcsoAgent::new(env.topology(), dbn_model, network, config.agent.clone());
-    agent.set_update_mode(mode);
-    agent
+    AcsoAgent::new(env.topology(), dbn_model, network, config.agent.clone())
 }
 
 /// Digest of serialized weights, full-precision history, and a greedy
@@ -110,23 +105,22 @@ fn fingerprint<N: QNetwork + Clone + 'static>(
     out
 }
 
-/// Runs one architecture/update-mode combination through the uninterrupted
-/// and interrupted-resumed paths and returns both fingerprints.
+/// Runs one architecture through the uninterrupted and interrupted-resumed
+/// paths and returns both fingerprints.
 fn run_combo<N: QNetwork + Clone + 'static>(
     tag: &str,
     make: impl Fn(ActionSpace, u64) -> N + Copy,
-    mode: UpdateMode,
 ) -> (String, String) {
     let cfg = config();
 
     // Uninterrupted reference: 2N episodes straight through.
-    let mut straight = cold_agent(make, mode);
+    let mut straight = cold_agent(make);
     let straight_report = train_agent(&mut straight, &cfg.sim, TOTAL_EPISODES, cfg.seed);
 
     // Interrupted run: N episodes, checkpoint, "kill".
     let path = std::env::temp_dir().join(format!("acso_resume_{tag}.acsosnap"));
     let checkpoint = CheckpointConfig::new(&path, MIDPOINT.max(1));
-    let mut first_half = cold_agent(make, mode);
+    let mut first_half = cold_agent(make);
     train_agent_checkpointed(
         &mut first_half,
         &cfg.sim,
@@ -139,7 +133,7 @@ fn run_combo<N: QNetwork + Clone + 'static>(
     drop(first_half);
 
     // Restart: rebuild the world from scratch, restore, finish the run.
-    let mut resumed = cold_agent(make, mode);
+    let mut resumed = cold_agent(make);
     let resumed_report = train_agent_checkpointed(
         &mut resumed,
         &cfg.sim,
@@ -165,20 +159,17 @@ fn golden_path(name: &str) -> PathBuf {
 
 /// Asserts the resumed fingerprint equals the uninterrupted one, and pins
 /// both against the golden fixture (blessed from the uninterrupted run).
-fn assert_combo(tag: &str, golden: &str, straight: String, resumed: String, bless: bool) {
+fn assert_combo(tag: &str, golden: &str, straight: String, resumed: String) {
     assert_eq!(
         straight, resumed,
         "{tag}: resumed training diverged from the uninterrupted run"
     );
     let path = golden_path(golden);
-    if bless && std::env::var("UPDATE_GOLDEN").is_ok() {
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &straight).unwrap();
         eprintln!("blessed {}", path.display());
         return;
-    }
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        return; // the blessing combination owns the fixture
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -194,62 +185,20 @@ fn assert_combo(tag: &str, golden: &str, straight: String, resumed: String, bles
 
 #[test]
 fn attention_batched_resume_is_bit_identical() {
-    let (straight, resumed) =
-        run_combo("attention_batched", AttentionQNet::new, UpdateMode::Batched);
+    let (straight, resumed) = run_combo("attention_batched", AttentionQNet::new);
     assert_combo(
         "attention/batched",
         "resume_attention.txt",
         straight,
         resumed,
-        true,
-    );
-}
-
-/// The serial reference update must resume onto the same fixture: the
-/// checkpoint stores experience and optimizer state, not an update-mode fork.
-/// Release-only — a full extra training run is too slow for the debug tier.
-#[cfg(not(debug_assertions))]
-#[test]
-fn attention_serial_resume_is_bit_identical() {
-    let (straight, resumed) = run_combo("attention_serial", AttentionQNet::new, UpdateMode::Serial);
-    assert_combo(
-        "attention/serial",
-        "resume_attention.txt",
-        straight,
-        resumed,
-        false,
     );
 }
 
 #[cfg(not(debug_assertions))]
 #[test]
 fn baseline_batched_resume_is_bit_identical() {
-    let (straight, resumed) = run_combo(
-        "baseline_batched",
-        BaselineConvQNet::new,
-        UpdateMode::Batched,
-    );
-    assert_combo(
-        "baseline/batched",
-        "resume_baseline.txt",
-        straight,
-        resumed,
-        true,
-    );
-}
-
-#[cfg(not(debug_assertions))]
-#[test]
-fn baseline_serial_resume_is_bit_identical() {
-    let (straight, resumed) =
-        run_combo("baseline_serial", BaselineConvQNet::new, UpdateMode::Serial);
-    assert_combo(
-        "baseline/serial",
-        "resume_baseline.txt",
-        straight,
-        resumed,
-        false,
-    );
+    let (straight, resumed) = run_combo("baseline_batched", BaselineConvQNet::new);
+    assert_combo("baseline/batched", "resume_baseline.txt", straight, resumed);
 }
 
 /// A truncated checkpoint must be rejected by the container digest before
@@ -260,7 +209,7 @@ fn torn_checkpoint_is_rejected_and_leaves_the_agent_cold() {
     let cfg = config();
     let path = std::env::temp_dir().join("acso_resume_torn.acsosnap");
     let checkpoint = CheckpointConfig::new(&path, 1);
-    let mut agent = cold_agent(AttentionQNet::new, UpdateMode::Batched);
+    let mut agent = cold_agent(AttentionQNet::new);
     train_agent_checkpointed(&mut agent, &cfg.sim, 1, cfg.seed, &checkpoint, false)
         .expect("checkpointed run");
 
@@ -268,7 +217,7 @@ fn torn_checkpoint_is_rejected_and_leaves_the_agent_cold() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
 
-    let mut restarted = cold_agent(AttentionQNet::new, UpdateMode::Batched);
+    let mut restarted = cold_agent(AttentionQNet::new);
     let before = restarted.trainer().counters();
     let err = train_agent_checkpointed(
         &mut restarted,

@@ -6,6 +6,9 @@
 //! scenario must keep producing **bit-identical** agent weights and greedy
 //! evaluation transcripts — that is the contract that makes the batched
 //! update a pure performance change rather than a silent behaviour change.
+//! The per-sample loop itself is test code in acso-core: its unit test
+//! `batched_and_serial_updates_are_bit_identical` trains this configuration
+//! both ways in release builds.
 //!
 //! Re-bless (only for an intentional change to the training semantics) with:
 //!
@@ -14,8 +17,6 @@
 //! ```
 
 use acso_core::agent::io::save_weights_to;
-#[cfg(not(debug_assertions))]
-use acso_core::agent::UpdateMode;
 use acso_core::train::{train_attention_acso, TrainConfig, TrainedAcso};
 use acso_core::DefenderPolicy;
 use ics_sim::IcsEnvironment;
@@ -32,39 +33,6 @@ const EVAL_SEED: u64 = 71;
 
 fn train_smoke() -> TrainedAcso {
     train_attention_acso(&TrainConfig::smoke(EPISODES).with_seed(SEED))
-}
-
-/// Same run, but through the per-sample reference update (the
-/// implementation the fixture was captured from). Release-only, like the
-/// test that uses it.
-#[cfg(not(debug_assertions))]
-fn train_smoke_serial() -> TrainedAcso {
-    use acso_core::agent::{AcsoAgent, AttentionQNet};
-    use acso_core::train::train_agent;
-    use acso_core::ActionSpace;
-    use dbn::learn::{learn_model, LearnConfig};
-
-    let config = TrainConfig::smoke(EPISODES).with_seed(SEED);
-    let dbn_model = learn_model(&LearnConfig {
-        episodes: config.dbn_episodes,
-        seed: config.seed,
-        sim: config.sim.clone(),
-    });
-    let env = IcsEnvironment::new(config.sim.clone().with_seed(config.seed));
-    let network = AttentionQNet::new(ActionSpace::new(env.topology()), config.seed);
-    let mut agent = AcsoAgent::new(
-        env.topology(),
-        dbn_model.clone(),
-        network,
-        config.agent.clone(),
-    );
-    agent.set_update_mode(UpdateMode::Serial);
-    let report = train_agent(&mut agent, &config.sim, config.episodes, config.seed);
-    TrainedAcso {
-        agent,
-        dbn_model,
-        report,
-    }
 }
 
 /// FNV-1a 64-bit digest — dependency-free and stable across platforms for a
@@ -149,26 +117,6 @@ fn training_matches_pre_refactor_golden_fixture() {
     assert_eq!(
         actual, expected,
         "training diverged from the pre-refactor serial-update fixture"
-    );
-}
-
-/// The serial reference loop (`ACSO_TRAIN_BATCH=0`) must also still match
-/// the fixture: the arena-backed replay changed the storage layout, not the
-/// sampled experience, and the batched path is pinned against *it*.
-/// Release-only: a second full smoke training is too slow for the debug
-/// tier-1 run, and the batch-determinism CI job runs this in release.
-#[cfg(not(debug_assertions))]
-#[test]
-fn serial_reference_update_matches_the_same_fixture() {
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        return; // the batched test owns blessing
-    }
-    let mut trained = train_smoke_serial();
-    let actual = fingerprint(&mut trained);
-    let expected = std::fs::read_to_string(golden_path()).expect("golden fixture present");
-    assert_eq!(
-        actual, expected,
-        "serial reference update diverged from the pre-refactor fixture"
     );
 }
 
