@@ -17,7 +17,10 @@
 //! * **arena refcount balance** — outstanding feature references equal
 //!   exactly two per live replay entry;
 //! * **replay-ring/arena consistency** — every stored transition (and the
-//!   pending n-step window) resolves to live arena slots.
+//!   pending n-step window) resolves to live arena slots;
+//! * **target-cache consistency** — one sampled cached target-network row
+//!   equals, bit for bit, a fresh target forward of its slot's state
+//!   ([`AcsoAgent::check_target_cache`]).
 //!
 //! Mid-run, a seeded coin injects checkpoint/restore-and-compare: the agent
 //! is serialized ([`acso_core::snapshot::encode_train_checkpoint`]), a cold
@@ -37,6 +40,7 @@ use acso_runtime::{episode_seed, mersenne_stream};
 use dbn::learn::{learn_model, LearnConfig};
 use ics_net::Topology;
 use ics_sim::{AlertSource, IcsEnvironment, Observation, Scenario};
+use rl::DqnConfig;
 use std::path::PathBuf;
 
 /// Salt separating scenario-generation seeds from everything else.
@@ -45,9 +49,20 @@ const SCENARIO_SALT: u64 = 0x50AC;
 const RUN_SALT: u64 = 0x51AC;
 /// Salt for the restore-injection coin.
 const RESTORE_SALT: u64 = 0x52AC;
+/// Salt for the target-cache row the per-step sweep samples.
+const CACHE_SALT: u64 = 0x53AC;
 
 /// Random-defender episodes fitting each scenario's DBN before the sweep.
 const DBN_EPISODES: usize = 2;
+
+/// Replay ring capacity: small enough that a few thousand ops wrap the
+/// ring, so evictions free arena slots and new states reuse them.
+const REPLAY_CAPACITY: usize = 256;
+
+/// Gradient updates between target syncs: a few thousand ops (one update
+/// per 16 steps) sync several times, so the target cache is cleared
+/// mid-run and not only by restores.
+const TARGET_SYNC_INTERVAL: u64 = 32;
 
 /// Configuration of a soak run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,6 +192,11 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakOutcome, String> {
         let base_env = IcsEnvironment::new(sim.clone().with_seed(run_seed));
         let space = ActionSpace::new(base_env.topology());
         let agent_config = AgentConfig {
+            dqn: DqnConfig {
+                buffer_capacity: REPLAY_CAPACITY,
+                target_update_interval: TARGET_SYNC_INTERVAL,
+                ..DqnConfig::smoke()
+            },
             seed: run_seed,
             ..AgentConfig::smoke()
         };
@@ -200,6 +220,7 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakOutcome, String> {
 
         check_topology(base_env.topology())
             .map_err(|e| format!("scenario `{}`: {e}", scenario.name))?;
+        let cache_seed = mersenne_stream(run_seed, CACHE_SALT);
         agent.set_explore(true);
 
         while train_report.env_steps < per_scenario {
@@ -209,7 +230,7 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakOutcome, String> {
             let gamma = env.gamma();
             agent.begin_episode();
             let obs = env.reset();
-            check_step(&agent, &env, &obs, &mut report.checks)
+            check_step(&mut agent, &env, &obs, cache_seed, &mut report.checks)
                 .map_err(|e| at(&scenario.name, episode, &agent, e))?;
             let (mut action, mut state) = agent.select_action(&obs);
 
@@ -228,8 +249,14 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakOutcome, String> {
                     step.done,
                 );
                 agent.maybe_train();
-                check_step(&agent, &env, &step.observation, &mut report.checks)
-                    .map_err(|e| at(&scenario.name, episode, &agent, e))?;
+                check_step(
+                    &mut agent,
+                    &env,
+                    &step.observation,
+                    cache_seed,
+                    &mut report.checks,
+                )
+                .map_err(|e| at(&scenario.name, episode, &agent, e))?;
                 action = next_action;
                 state = next_state;
                 if step.done {
@@ -511,11 +538,13 @@ fn check_world_step(
 }
 
 /// The per-step invariant sweep. Bumps `checks` once per invariant family
-/// that passed; returns the first violation.
+/// that passed; returns the first violation. `cache_seed` and the agent's
+/// step count choose the sampled target-cache row.
 fn check_step<N: acso_core::agent::QNetwork + Clone>(
-    agent: &AcsoAgent<N>,
+    agent: &mut AcsoAgent<N>,
     env: &IcsEnvironment,
     obs: &Observation,
+    cache_seed: u64,
     checks: &mut u64,
 ) -> Result<(), String> {
     // 1–2. Alert conservation and live VLAN reachability.
@@ -583,6 +612,13 @@ fn check_step<N: acso_core::agent::QNetwork + Clone>(
         }
     }
     *checks += 1;
+
+    // 6. Target-cache consistency: a sampled cached row still equals the
+    //    target network's answer for its slot's state.
+    let pick = mersenne_stream(cache_seed, agent.env_steps());
+    if agent.check_target_cache(pick)? {
+        *checks += 1;
+    }
 
     Ok(())
 }

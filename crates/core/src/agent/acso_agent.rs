@@ -97,6 +97,9 @@ pub struct AcsoAgent<N: QNetwork + Clone> {
     eval_scratch: EncodeScratch,
     /// Reusable `[batch, action-space]` gradient matrix for the update.
     grad_batch: Matrix,
+    /// The target network's Q-rows per feature-arena slot, reused by the
+    /// double-DQN bootstrap until the slot or the target network changes.
+    target_cache: TargetCache,
 }
 
 impl<N: QNetwork + Clone> AcsoAgent<N> {
@@ -112,7 +115,6 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
             target,
             trainer: DqnTrainer::new(config.dqn),
             optimizer: Adam::new(config.learning_rate),
-            action_space,
             encoder,
             filter,
             rng: StdRng::seed_from_u64(config.seed),
@@ -121,6 +123,8 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
             eval_features: StateFeatures::empty(),
             eval_scratch: EncodeScratch::new(),
             grad_batch: Matrix::zeros(0, 0),
+            target_cache: TargetCache::new(action_space.len()),
+            action_space,
         }
     }
 
@@ -139,7 +143,8 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
     /// and encoder are cloned, but the replay buffer, n-step window and
     /// optimizer state are reset — greedy evaluation never reads them, and
     /// a full `Clone` would otherwise copy the entire training history per
-    /// worker. The copy starts with exploration disabled.
+    /// worker. The target cache starts empty. The copy starts with
+    /// exploration disabled.
     pub fn eval_clone(&self) -> Self {
         Self {
             online: self.online.clone(),
@@ -155,6 +160,7 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
             eval_features: StateFeatures::empty(),
             eval_scratch: EncodeScratch::new(),
             grad_batch: Matrix::zeros(0, 0),
+            target_cache: TargetCache::new(self.action_space.len()),
         }
     }
 
@@ -207,6 +213,9 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
     /// not learning, should use the greedy [`DefenderPolicy`] interface
     /// instead, which touches no arena.
     ///
+    /// Interning may reuse a freed arena slot, so the slot's target-cache
+    /// row is dropped here: it answered for the slot's previous state.
+    ///
     /// Inference runs through [`QNetwork::q_values_batch`] as a batch of one
     /// — bit-identical to the cached single-state forward, but (like every
     /// inference call since the batch-first refactor) it leaves the training
@@ -220,6 +229,7 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
             .pop()
             .expect("a batch of one state yields one Q-vector");
         let id = self.trainer.intern(features);
+        self.target_cache.drop_slot(id.index());
         let epsilon = if self.explore {
             self.trainer.epsilon()
         } else {
@@ -280,16 +290,26 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
         self.trainer.buffered()
     }
 
+    /// The target cache's hit, miss, drop and clear counts (diagnostics).
+    pub fn target_cache_stats(&self) -> TargetCacheStats {
+        self.target_cache.stats
+    }
+
     /// Runs one gradient update if the trainer says it is time. Returns the
     /// batch loss when an update happened.
     ///
-    /// The update is batch-first end to end: the double-DQN bootstrap, the
-    /// prediction forward *and* the backward pass each run as one stacked
-    /// pass over the whole minibatch (gradients summed per parameter before
-    /// a single optimizer step), with per-sample TD errors still extracted
-    /// for the priority updates. Minibatch states are gathered from the
-    /// replay feature arena by index — nothing is cloned on this path. The
-    /// unit tests pin it bit for bit to a per-sample reference loop.
+    /// The update is batch-first end to end: the prediction forward and the
+    /// backward pass each run as one stacked pass over the whole minibatch
+    /// (gradients summed per parameter before a single optimizer step), with
+    /// per-sample TD errors still extracted for the priority updates.
+    /// Minibatch states are gathered from the replay feature arena by index —
+    /// nothing is cloned on this path. The training forward runs first, and
+    /// the double-DQN bootstrap then answers each distinct next state once:
+    /// the online choice reuses the training forward's Q-rows for next states
+    /// that are also training states, and the target value comes from the
+    /// per-slot target cache where the target network already answered the
+    /// slot's state. The unit tests pin the update bit for bit to a
+    /// per-sample reference loop with an uncached bootstrap.
     pub fn maybe_train(&mut self) -> Option<f32> {
         if !self.trainer.should_update() {
             return None;
@@ -305,34 +325,87 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
 
     /// Double-DQN bootstrap values for the non-terminal samples of a batch:
     /// the online network chooses the bootstrap action, the target network
-    /// evaluates it. One batched (inference-only) forward per network
-    /// covers the whole minibatch and leaves the training cache untouched.
-    fn bootstrap_values(&mut self, picks: &[(usize, f64)]) -> Vec<f64> {
-        let boot_states: Vec<&StateFeatures> = picks
+    /// evaluates it. Each distinct next state (arena slot) is answered once.
+    /// The online choice reads `predictions`, the training forward's Q-rows,
+    /// when the next state is also a training state of the batch; the target
+    /// value reads the target cache when the slot's row is valid. The rest
+    /// run as one inference forward per network, which leaves the training
+    /// cache untouched. The values are exactly those of fresh forwards over
+    /// every next state: a state's inference Q-values do not depend on its
+    /// batch and equal its training-forward Q-values on every backend
+    /// (pinned in `tests/backend_equivalence.rs`).
+    fn bootstrap_values(&mut self, picks: &[(usize, f64)], predictions: &[Vec<f32>]) -> Vec<f64> {
+        let trainer = &self.trainer;
+        // Distinct next states, and each live sample's index into them.
+        let mut next: Vec<FeatureId> = Vec::new();
+        let positions: Vec<usize> = picks
             .iter()
-            .filter(|(index, _)| !self.trainer.transition(*index).done)
-            .map(|(index, _)| {
-                self.trainer
-                    .features(self.trainer.transition(*index).final_state)
+            .map(|(index, _)| trainer.transition(*index))
+            .filter(|t| !t.done)
+            .map(|t| {
+                next.iter()
+                    .position(|id| *id == t.final_state)
+                    .unwrap_or_else(|| {
+                        next.push(t.final_state);
+                        next.len() - 1
+                    })
             })
             .collect();
-        let online_next = self.online.q_values_batch(&boot_states);
-        let target_next = self.target.q_values_batch(&boot_states);
-        online_next
-            .iter()
-            .zip(&target_next)
-            .map(|(online_q, target_q)| f64::from(target_q[rl::policy::greedy(online_q)]))
-            .collect()
+
+        let mut actions = vec![0; next.len()];
+        let mut online_misses = Vec::new();
+        for (k, id) in next.iter().enumerate() {
+            let row = picks
+                .iter()
+                .position(|(index, _)| trainer.transition(*index).state == *id);
+            match row {
+                Some(row) => actions[k] = rl::policy::greedy(&predictions[row]),
+                None => online_misses.push(k),
+            }
+        }
+        if !online_misses.is_empty() {
+            let states: Vec<&StateFeatures> = online_misses
+                .iter()
+                .map(|&k| trainer.features(next[k]))
+                .collect();
+            let rows = self.online.q_values_batch(&states);
+            for (&k, q) in online_misses.iter().zip(&rows) {
+                actions[k] = rl::policy::greedy(q);
+            }
+        }
+
+        let mut values = vec![0.0; next.len()];
+        let mut target_misses = Vec::new();
+        for (k, id) in next.iter().enumerate() {
+            match self.target_cache.row(id.index()) {
+                Some(row) => values[k] = f64::from(row[actions[k]]),
+                None => target_misses.push(k),
+            }
+        }
+        let cache = &mut self.target_cache;
+        cache.stats.hits += (next.len() - target_misses.len()) as u64;
+        cache.stats.misses += target_misses.len() as u64;
+        if !target_misses.is_empty() {
+            let states: Vec<&StateFeatures> = target_misses
+                .iter()
+                .map(|&k| trainer.features(next[k]))
+                .collect();
+            let rows = self.target.q_values_batch(&states);
+            let slots = trainer.arena().capacity();
+            for (&k, q) in target_misses.iter().zip(&rows) {
+                values[k] = f64::from(q[actions[k]]);
+                cache.insert(next[k].index(), slots, q);
+            }
+        }
+        positions.into_iter().map(|k| values[k]).collect()
     }
 
-    /// The batched update: one stacked training forward, one gradient row
-    /// per sample, one stacked backward, one optimizer step.
+    /// The batched update: one stacked training forward, the bootstrap, one
+    /// gradient row per sample, one stacked backward, one optimizer step.
     fn update_batched(&mut self, picks: &[(usize, f64)]) -> f32 {
         let gamma = self.trainer.config().gamma;
         let batch_len = picks.len();
         self.online.zero_grad();
-        let bootstraps = self.bootstrap_values(picks);
-        let mut bootstraps = bootstraps.into_iter();
 
         // One stacked forward over the whole minibatch, gathered from the
         // arena; the per-sample predictions are bit-identical to solo cached
@@ -343,6 +416,7 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
             .map(|(index, _)| self.trainer.features(self.trainer.transition(*index).state))
             .collect();
         let predictions = self.online.q_values_batch_train(&states);
+        let mut bootstraps = self.bootstrap_values(picks, &predictions).into_iter();
 
         let action_len = self.action_space.len();
         if self.grad_batch.shape() != (batch_len, action_len) {
@@ -377,12 +451,49 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
     }
 
     /// Tail of an update: optimizer step, priority refresh, target-network
-    /// sync.
+    /// sync (which empties the target cache).
     fn finish_update(&mut self, errors: &[(usize, f64)]) {
         self.optimizer.step(&mut self.online.params_mut());
         let sync = self.trainer.record_update(errors);
         if sync {
             self.target.copy_params_from(&mut self.online);
+            self.target_cache.clear();
+        }
+    }
+
+    /// Checks one cached target row against a fresh target-network forward
+    /// of its slot's state, bit for bit (invariant sweeps). `pick` chooses
+    /// among the valid rows of live arena slots, `pick % count`; rows of
+    /// freed slots are never read (re-interning the slot drops them) and are
+    /// skipped. Returns whether a row was compared: `Ok(false)` when the
+    /// cache holds none. The forward is inference-only, so the check
+    /// changes nothing the training run computes.
+    ///
+    /// # Errors
+    ///
+    /// Names the slot and the first action whose cached value differs.
+    pub fn check_target_cache(&mut self, pick: u64) -> Result<bool, String> {
+        let (slots, _, _) = self.trainer.arena().parts();
+        let cached: Vec<usize> = (0..slots.len())
+            .filter(|&slot| slots[slot].is_some() && self.target_cache.row(slot).is_some())
+            .collect();
+        if cached.is_empty() {
+            return Ok(false);
+        }
+        let slot = cached[(pick % cached.len() as u64) as usize];
+        let state = slots[slot].as_ref().expect("live slot");
+        let fresh = self
+            .target
+            .q_values_batch(&[state])
+            .pop()
+            .expect("a batch of one state yields one Q-vector");
+        let row = self.target_cache.row(slot).expect("valid row");
+        match (0..fresh.len()).find(|&a| fresh[a].to_bits() != row[a].to_bits()) {
+            None => Ok(true),
+            Some(action) => Err(format!(
+                "target cache row of slot {slot} is stale: action {action} cached {} but the target network gives {}",
+                row[action], fresh[action]
+            )),
         }
     }
 
@@ -408,14 +519,26 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
     }
 
     /// Mutable access to the training bookkeeping (checkpoint restore).
+    /// Empties the target cache: a restore replaces the arena, so cached
+    /// rows would answer for other states.
     pub(crate) fn trainer_mut(&mut self) -> &mut DqnTrainer<StateFeatures> {
+        self.target_cache.clear();
         &mut self.trainer
     }
 
-    /// Mutable access to the target Q-network (checkpoint encoding: the
-    /// target lags the online network, so both sets of weights travel).
-    pub(crate) fn target_mut(&mut self) -> &mut N {
-        &mut self.target
+    /// Writes the target Q-network's weights (checkpoint encoding: the
+    /// target lags the online network, so both sets of weights travel). It
+    /// only reads the weights, so the target cache stays valid.
+    pub(crate) fn save_target_weights(&mut self, out: &mut Vec<u8>) {
+        crate::agent::io::save_weights_to(&mut self.target, out)
+            .expect("writing weights to a Vec cannot fail");
+    }
+
+    /// Replaces the target Q-network (checkpoint restore) and empties the
+    /// target cache, whose rows the old weights computed.
+    pub(crate) fn replace_target(&mut self, target: N) {
+        self.target = target;
+        self.target_cache.clear();
     }
 
     /// The optimizer (checkpoint encoding).
@@ -448,6 +571,98 @@ fn huber_loss(td_error: f64) -> f64 {
         0.5 * td_error * td_error
     } else {
         delta * (td_error.abs() - 0.5 * delta)
+    }
+}
+
+/// Byte budget of the target cache's rows. Slots whose row would end past
+/// it are never cached, so their lookups always miss. A 1,024-slot ring on
+/// `paper-small` (173 actions) takes 0.7 MB; the paper's 131,072-slot ring
+/// on `paper-full` (332 actions) would take ~174 MB and caches its first
+/// ~25,000 slots.
+const TARGET_CACHE_BYTES: usize = 32 << 20;
+
+/// Counters of an agent's target cache since the agent was built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TargetCacheStats {
+    /// Bootstrap next states answered from the cache.
+    pub hits: u64,
+    /// Bootstrap next states the target network ran on.
+    pub misses: u64,
+    /// Valid rows dropped because their arena slot took a new state.
+    pub reuse_drops: u64,
+    /// Whole-cache clears: one per target sync, two per checkpoint restore
+    /// (the arena and the target network are both replaced).
+    pub clears: u64,
+}
+
+/// The target network's Q-rows per feature-arena slot.
+///
+/// The target network changes only at a sync, and a replay transition is
+/// sampled several times in its life, so most bootstrap next states were
+/// already answered by the same target weights. A row stays valid until its
+/// slot takes a new state ([`AcsoAgent::select_action`]) or the target
+/// network changes (a sync or a checkpoint restore clears every row). The
+/// cache is derived state: checkpoints do not carry it, and a restored
+/// agent refills it with the same bits.
+#[derive(Clone)]
+struct TargetCache {
+    /// Values per row: the action-space size.
+    width: usize,
+    /// Row `slot` at `slot * width..(slot + 1) * width`.
+    values: Vec<f32>,
+    /// Whether row `slot` holds the current target network's Q-values of
+    /// the state in arena slot `slot`.
+    valid: Vec<bool>,
+    stats: TargetCacheStats,
+}
+
+impl TargetCache {
+    fn new(width: usize) -> Self {
+        Self {
+            width,
+            values: Vec::new(),
+            valid: Vec::new(),
+            stats: TargetCacheStats::default(),
+        }
+    }
+
+    /// The cached row of `slot`, if valid.
+    fn row(&self, slot: usize) -> Option<&[f32]> {
+        let valid = self.valid.get(slot).copied().unwrap_or(false);
+        valid.then(|| &self.values[slot * self.width..(slot + 1) * self.width])
+    }
+
+    /// Caches `row` as `slot`'s target Q-values. Storage grows to the
+    /// arena's `slots` rows, within [`TARGET_CACHE_BYTES`]; a slot past the
+    /// budget is not stored.
+    fn insert(&mut self, slot: usize, slots: usize, row: &[f32]) {
+        let max_rows = TARGET_CACHE_BYTES / (self.width * std::mem::size_of::<f32>());
+        if slot >= max_rows {
+            return;
+        }
+        if slot >= self.valid.len() {
+            let rows = slots.clamp(slot + 1, max_rows);
+            self.valid.resize(rows, false);
+            self.values.resize(rows * self.width, 0.0);
+        }
+        self.values[slot * self.width..(slot + 1) * self.width].copy_from_slice(row);
+        self.valid[slot] = true;
+    }
+
+    /// Drops `slot`'s row: the arena slot now holds a different state.
+    fn drop_slot(&mut self, slot: usize) {
+        if let Some(valid) = self.valid.get_mut(slot) {
+            if *valid {
+                *valid = false;
+                self.stats.reuse_drops += 1;
+            }
+        }
+    }
+
+    /// Drops every row: the target network changed.
+    fn clear(&mut self) {
+        self.valid.fill(false);
+        self.stats.clears += 1;
     }
 }
 
@@ -494,10 +709,30 @@ mod tests {
     use ics_sim::{IcsEnvironment, SimConfig};
 
     impl<N: QNetwork + Clone> AcsoAgent<N> {
+        /// The uncached double-DQN bootstrap: fresh online and target
+        /// forwards over every non-terminal sample's next state, repeats
+        /// included.
+        fn bootstrap_values_uncached(&mut self, picks: &[(usize, f64)]) -> Vec<f64> {
+            let boot_states: Vec<&StateFeatures> = picks
+                .iter()
+                .map(|(index, _)| self.trainer.transition(*index))
+                .filter(|t| !t.done)
+                .map(|t| self.trainer.features(t.final_state))
+                .collect();
+            let online_next = self.online.q_values_batch(&boot_states);
+            let target_next = self.target.q_values_batch(&boot_states);
+            online_next
+                .iter()
+                .zip(&target_next)
+                .map(|(online_q, target_q)| f64::from(target_q[rl::policy::greedy(online_q)]))
+                .collect()
+        }
+
         /// The per-sample reference for [`AcsoAgent::maybe_train`]: the same
-        /// sampling, bootstrap, optimizer step and priority refresh, but the
-        /// forward and backward passes run one replay sample at a time
-        /// through the networks' solo cached `q_values`/`backward`.
+        /// sampling, optimizer step and priority refresh, but an uncached
+        /// bootstrap, and forward and backward passes that run one replay
+        /// sample at a time through the networks' solo cached
+        /// `q_values`/`backward`.
         fn maybe_train_serial(&mut self) -> Option<f32> {
             if !self.trainer.should_update() {
                 return None;
@@ -509,7 +744,7 @@ mod tests {
             let gamma = self.trainer.config().gamma;
             let batch_len = picks.len();
             self.online.zero_grad();
-            let mut bootstraps = self.bootstrap_values(&picks).into_iter();
+            let mut bootstraps = self.bootstrap_values_uncached(&picks).into_iter();
             let mut errors = Vec::with_capacity(batch_len);
             let mut loss_sum = 0.0f32;
             for (index, weight) in &picks {
@@ -575,11 +810,11 @@ mod tests {
     /// Trains one agent through the batched update and an identical one
     /// through the serial reference, then asserts the two runs agree bit
     /// for bit: every loss, every weight of both networks and Adam's
-    /// moments.
+    /// moments. Returns the batched run's target-cache counters.
     fn assert_serial_matches<N: QNetwork + Clone>(
         label: &str,
         train: impl Fn(Update<N>) -> (Vec<f32>, AcsoAgent<N>),
-    ) {
+    ) -> TargetCacheStats {
         let run = |update: Update<N>| {
             let (losses, mut agent) = train(update);
             let losses: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
@@ -591,19 +826,29 @@ mod tests {
                         .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect()),
                 );
             }
-            (losses, weights, agent.optimizer.state_bytes())
+            let stats = agent.target_cache_stats();
+            (losses, weights, agent.optimizer.state_bytes(), stats)
         };
-        let (batched_losses, batched_weights, batched_adam) = run(AcsoAgent::maybe_train);
-        let (serial_losses, serial_weights, serial_adam) = run(AcsoAgent::maybe_train_serial);
+        let (batched_losses, batched_weights, batched_adam, stats) = run(AcsoAgent::maybe_train);
+        let (serial_losses, serial_weights, serial_adam, _) = run(AcsoAgent::maybe_train_serial);
         assert!(!batched_losses.is_empty(), "{label}: no update ran");
         assert_eq!(batched_losses, serial_losses, "{label}: losses diverged");
         assert_eq!(batched_weights, serial_weights, "{label}: weights diverged");
         assert_eq!(batched_adam, serial_adam, "{label}: Adam moments diverged");
+        stats
     }
 
     fn make_agent<N: QNetwork + Clone>(
         seed: u64,
         network: fn(ActionSpace, u64) -> N,
+    ) -> (IcsEnvironment, AcsoAgent<N>) {
+        make_agent_with_ring(seed, network, DqnConfig::smoke().buffer_capacity)
+    }
+
+    fn make_agent_with_ring<N: QNetwork + Clone>(
+        seed: u64,
+        network: fn(ActionSpace, u64) -> N,
+        buffer_capacity: usize,
     ) -> (IcsEnvironment, AcsoAgent<N>) {
         let sim = SimConfig::tiny().with_max_time(120).with_seed(seed);
         let model = learn_model(&LearnConfig {
@@ -621,6 +866,7 @@ mod tests {
                 batch_size: 8,
                 n_step: 3,
                 target_update_interval: 4,
+                buffer_capacity,
                 ..DqnConfig::smoke()
             },
             learning_rate: 1e-3,
@@ -681,6 +927,17 @@ mod tests {
             let (mut env, mut agent) = make_agent(13, BaselineConvQNet::new);
             (train_episode(&mut agent, &mut env, 64, update), agent)
         });
+        // A 16-transition ring recycles arena slots, and the target network
+        // syncs every 4 updates, so cached rows are read, dropped on slot
+        // reuse and cleared at syncs while the serial run checks every
+        // bootstrap against fresh forwards.
+        let stats = assert_serial_matches("attention, 16-slot ring", |update| {
+            let (mut env, mut agent) = make_agent_with_ring(13, AttentionQNet::new, 16);
+            (train_episode(&mut agent, &mut env, 120, update), agent)
+        });
+        assert!(stats.hits > 0, "no cache hit: {stats:?}");
+        assert!(stats.reuse_drops > 0, "no slot-reuse drop: {stats:?}");
+        assert!(stats.clears >= 2, "fewer than two sync clears: {stats:?}");
         // A full two-episode smoke training per update path is too slow for
         // the debug test tier.
         #[cfg(not(debug_assertions))]
@@ -705,6 +962,48 @@ mod tests {
             }
             (losses, agent)
         });
+    }
+
+    /// The soak harness's cache check passes on live rows and names a
+    /// corrupted one.
+    #[test]
+    fn target_cache_check_catches_a_stale_row() {
+        let (mut env, mut agent) = make_agent_with_ring(13, AttentionQNet::new, 16);
+        train_episode(&mut agent, &mut env, 120, AcsoAgent::maybe_train);
+        assert_eq!(agent.check_target_cache(0), Ok(true));
+        let width = agent.target_cache.width;
+        for slot in 0..agent.target_cache.valid.len() {
+            agent.target_cache.values[slot * width] += 1.0;
+        }
+        let err = agent.check_target_cache(0).unwrap_err();
+        assert!(err.contains("action 0"), "{err}");
+    }
+
+    /// Writing a checkpoint leaves the cache alone. Each restore path
+    /// empties it on its own: `trainer_mut`, whose caller replaces the
+    /// arena, and `replace_target`.
+    #[test]
+    fn checkpoint_restore_paths_empty_the_target_cache() {
+        use crate::snapshot::{decode_train_checkpoint, encode_train_checkpoint};
+        let (_, mut agent) = make_agent(13, AttentionQNet::new);
+        let fill = |agent: &mut AcsoAgent<AttentionQNet>| {
+            let row = vec![0.0; agent.target_cache.width];
+            agent.target_cache.insert(0, 1, &row);
+        };
+        let cached = |agent: &AcsoAgent<AttentionQNet>| agent.target_cache.valid.contains(&true);
+
+        fill(&mut agent);
+        let before = agent.target_cache.valid.clone();
+        let bytes = encode_train_checkpoint(&mut agent, &crate::train::TrainReport::default());
+        assert_eq!(agent.target_cache.valid, before);
+        agent.trainer_mut();
+        assert!(!cached(&agent));
+        fill(&mut agent);
+        agent.replace_target(agent.target.clone());
+        assert!(!cached(&agent));
+        fill(&mut agent);
+        decode_train_checkpoint(&mut agent, &bytes).unwrap();
+        assert!(!cached(&agent));
     }
 
     #[test]

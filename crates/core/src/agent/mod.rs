@@ -6,7 +6,7 @@ mod baseline_net;
 mod batched;
 pub mod io;
 
-pub use acso_agent::{AcsoAgent, AgentConfig};
+pub use acso_agent::{AcsoAgent, AgentConfig, TargetCacheStats};
 pub use attention_net::AttentionQNet;
 pub use baseline_net::BaselineConvQNet;
 pub use batched::BatchedAgentPolicy;

@@ -453,8 +453,7 @@ pub fn encode_train_checkpoint<N: QNetwork + Clone>(
     builder.section(tags::ONLINE, online);
 
     let mut target = Vec::new();
-    weights_io::save_weights_to(agent.target_mut(), &mut target)
-        .expect("writing weights to a Vec cannot fail");
+    agent.save_target_weights(&mut target);
     builder.section(tags::TARGET, target);
 
     builder.section(tags::OPTIM, agent.optimizer().state_bytes());
@@ -679,7 +678,7 @@ pub fn decode_train_checkpoint<N: QNetwork + Clone>(
         .restore(arena, replay, window, counters)
         .map_err(SnapshotError::Corrupt)?;
     *agent.network_mut() = online;
-    *agent.target_mut() = target;
+    agent.replace_target(target);
     *agent.optimizer_mut() = optimizer;
     agent.restore_rng_state(rng_state);
 

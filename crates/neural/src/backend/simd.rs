@@ -693,7 +693,10 @@ mod avx {
     }
 
     /// `out += aᵀ · b` over `rows` stacked rows (always accumulating — the
-    /// parameter-gradient flush; callers zero `out` for the `=` form).
+    /// parameter-gradient flush; callers zero `out` for the `=` form), in
+    /// 4-output-row × 16-column register tiles. Each output element sums
+    /// its own chain from zero over ascending rows and is added into `out`
+    /// once, so the bits do not depend on the tiling.
     pub unsafe fn gemm_transa(
         a: &[f32],
         b: &[f32],
@@ -715,39 +718,76 @@ mod avx {
         r: usize,
         c: usize,
     ) {
-        for i in 0..r {
-            let mut j0 = 0;
-            while j0 + 16 <= c {
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
-                for k in 0..rows {
-                    let av = _mm256_set1_ps(*a.add(k * r + i));
-                    acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b.add(k * c + j0)), acc0);
-                    acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b.add(k * c + j0 + 8)), acc1);
+        let mut i0 = 0;
+        while i0 + 4 <= r {
+            gemm_transa_rows::<4>(a, b, out, i0, rows, r, c);
+            i0 += 4;
+        }
+        while i0 < r {
+            gemm_transa_rows::<1>(a, b, out, i0, rows, r, c);
+            i0 += 1;
+        }
+    }
+
+    /// Output rows `i0..i0 + IB` of `out += aᵀ · b` across all `c` columns:
+    /// 16-wide tiles, then an 8-wide tile, then a scalar tail. Each step
+    /// over `k` loads the `b` row once for all `IB` output rows.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_transa_rows<const IB: usize>(
+        a: *const f32,
+        b: *const f32,
+        out: *mut f32,
+        i0: usize,
+        rows: usize,
+        r: usize,
+        c: usize,
+    ) {
+        let mut j0 = 0;
+        while j0 + 16 <= c {
+            let mut acc = [[_mm256_setzero_ps(); 2]; IB];
+            for k in 0..rows {
+                let b0 = _mm256_loadu_ps(b.add(k * c + j0));
+                let b1 = _mm256_loadu_ps(b.add(k * c + j0 + 8));
+                for (ii, acc_row) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*a.add(k * r + i0 + ii));
+                    acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
+                    acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
                 }
-                let dst = out.add(i * c + j0);
-                _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc0));
-                _mm256_storeu_ps(dst.add(8), _mm256_add_ps(_mm256_loadu_ps(dst.add(8)), acc1));
-                j0 += 16;
             }
-            if j0 + 8 <= c {
-                let mut acc0 = _mm256_setzero_ps();
-                for k in 0..rows {
-                    let av = _mm256_set1_ps(*a.add(k * r + i));
-                    acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b.add(k * c + j0)), acc0);
+            for (ii, acc_row) in acc.iter().enumerate() {
+                let dst = out.add((i0 + ii) * c + j0);
+                _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc_row[0]));
+                _mm256_storeu_ps(
+                    dst.add(8),
+                    _mm256_add_ps(_mm256_loadu_ps(dst.add(8)), acc_row[1]),
+                );
+            }
+            j0 += 16;
+        }
+        if j0 + 8 <= c {
+            let mut acc = [_mm256_setzero_ps(); IB];
+            for k in 0..rows {
+                let b0 = _mm256_loadu_ps(b.add(k * c + j0));
+                for (ii, acc_row) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*a.add(k * r + i0 + ii));
+                    *acc_row = _mm256_fmadd_ps(av, b0, *acc_row);
                 }
-                let dst = out.add(i * c + j0);
-                _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc0));
-                j0 += 8;
             }
-            while j0 < c {
+            for (ii, acc_row) in acc.iter().enumerate() {
+                let dst = out.add((i0 + ii) * c + j0);
+                _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), *acc_row));
+            }
+            j0 += 8;
+        }
+        while j0 < c {
+            for ii in 0..IB {
                 let mut s = 0.0f32;
                 for k in 0..rows {
-                    s += *a.add(k * r + i) * *b.add(k * c + j0);
+                    s += *a.add(k * r + i0 + ii) * *b.add(k * c + j0);
                 }
-                *out.add(i * c + j0) += s;
-                j0 += 1;
+                *out.add((i0 + ii) * c + j0) += s;
             }
+            j0 += 1;
         }
     }
 
@@ -1126,6 +1166,51 @@ mod tests {
             a.matmul_into(&b, &mut out_r);
             for (s, r) in out_s.data().iter().zip(out_r.data()) {
                 assert!(tol.allows(*s, *r), "{s} vs {r} at {m}x{k}x{n}");
+            }
+        }
+    }
+
+    /// The register-blocked `aᵀ · b` flush against a scalar model of each
+    /// output element's chain: from zero over ascending rows, fused
+    /// multiply-adds in the vector columns and a plain `s += a * b` in the
+    /// scalar-tail columns, then one add into a non-zero `out`. Output row
+    /// counts cover full 4-row blocks, single-row remainders and both.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx_gemm_transa_keeps_each_elements_chain() {
+        if !SimdBackend::new().avx2_active() {
+            return;
+        }
+        for r in [1usize, 3, 5, 67, 128] {
+            for c in [1usize, 7, 8, 23, 64] {
+                for rows in [1usize, 16, 17] {
+                    let seed = (r * 10_000 + c * 100 + rows) as u64;
+                    let a = filled(rows, r, seed);
+                    let b = filled(rows, c, seed + 1);
+                    let start = filled(r, c, seed + 2);
+                    let mut got = start.clone();
+                    unsafe { avx::gemm_transa(a.data(), b.data(), got.data_mut(), rows, r, c) };
+                    let vector_cols = c / 8 * 8;
+                    for i in 0..r {
+                        for j in 0..c {
+                            let mut s = 0.0f32;
+                            for k in 0..rows {
+                                let (x, y) = (a.get(k, i), b.get(k, j));
+                                s = if j < vector_cols {
+                                    x.mul_add(y, s)
+                                } else {
+                                    s + x * y
+                                };
+                            }
+                            let want = start.get(i, j) + s;
+                            assert_eq!(
+                                got.get(i, j).to_bits(),
+                                want.to_bits(),
+                                "r={r} c={c} rows={rows} at ({i}, {j})"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -10,9 +10,7 @@
 //! block-diagonal attention case) driven by proptest.
 
 use neural::backend::{all_backends, backend_by_name, BackendRef, ReferenceBackend, Tolerance};
-use neural::layers::SelfAttention;
-use neural::{Batch, KernelBackend, Layer, Matrix, Scratch};
-use proptest::prelude::*;
+use neural::{KernelBackend, Matrix, Scratch};
 
 /// Asserts two matrices agree element-wise under `tol`.
 fn assert_close(tol: Tolerance, got: &Matrix, want: &Matrix, what: &str) {
@@ -183,6 +181,9 @@ fn grouped_attention_rows_match_the_square_pass_at_registry_1000_scale() {
 mod simd {
     use super::*;
     use neural::backend::SimdBackend;
+    use neural::layers::SelfAttention;
+    use neural::{Batch, Layer};
+    use proptest::prelude::*;
 
     /// The scalar-fallback singleton: what the runtime dispatcher degrades
     /// to on hardware without AVX2+FMA.
