@@ -73,7 +73,6 @@ fn main() {
         },
         episodes: experiment.train_episodes,
         dbn_episodes: experiment.dbn_episodes,
-        dbn_threads: None,
         seed: experiment.seed,
     };
 

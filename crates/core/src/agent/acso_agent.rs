@@ -14,6 +14,7 @@ use neural::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl::{epsilon_greedy, DqnConfig, DqnTrainer, FeatureId, Transition};
+use std::time::Instant;
 
 /// Configuration of the agent's learner.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,6 +101,8 @@ pub struct AcsoAgent<N: QNetwork + Clone> {
     /// The target network's Q-rows per feature-arena slot, reused by the
     /// double-DQN bootstrap until the slot or the target network changes.
     target_cache: TargetCache,
+    /// Whether updates open their crew, from their measured times.
+    crew: CrewChoice,
 }
 
 impl<N: QNetwork + Clone> AcsoAgent<N> {
@@ -124,6 +127,7 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
             eval_scratch: EncodeScratch::new(),
             grad_batch: Matrix::zeros(0, 0),
             target_cache: TargetCache::new(action_space.len()),
+            crew: CrewChoice::default(),
             action_space,
         }
     }
@@ -161,6 +165,7 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
             eval_scratch: EncodeScratch::new(),
             grad_batch: Matrix::zeros(0, 0),
             target_cache: TargetCache::new(self.action_space.len()),
+            crew: CrewChoice::default(),
         }
     }
 
@@ -310,6 +315,14 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
     /// per-slot target cache where the target network already answered the
     /// slot's state. The unit tests pin the update bit for bit to a
     /// per-sample reference loop with an uncached bootstrap.
+    ///
+    /// The update runs on a [crew](neural::crew) opened for its length:
+    /// the network kernels of the training forward, the bootstrap forwards
+    /// and the backward split their outputs across it, with the same bits
+    /// at every width. The width is the caller's
+    /// `acso_runtime::available_threads()` (1 on a fan-out's worker),
+    /// bounded by the minibatch at one member per 8 states, while updates
+    /// with the crew have been measured faster than updates without it.
     pub fn maybe_train(&mut self) -> Option<f32> {
         if !self.trainer.should_update() {
             return None;
@@ -318,9 +331,27 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
         if picks.is_empty() {
             return None;
         }
-        let loss = self.update_batched(&picks);
+        let width = self.update_width(picks.len());
+        let started = Instant::now();
+        let loss = neural::crew::with_crew(width, || self.update_batched(&picks));
+        self.crew.record(width > 1, started.elapsed().as_secs_f64());
         self.losses.push(loss);
         Some(loss)
+    }
+
+    /// The next update's crew width: the thread budget for a minibatch of
+    /// `batch` states while the crew pays (see [`CrewChoice`]), else 1.
+    fn update_width(&self, batch: usize) -> usize {
+        #[cfg(test)]
+        if let Some(width) = tests::CREW_WIDTH.get() {
+            return width;
+        }
+        let budget = crew_budget(batch);
+        if budget > 1 && self.crew.open() {
+            budget
+        } else {
+            1
+        }
     }
 
     /// Double-DQN bootstrap values for the non-terminal samples of a batch:
@@ -564,6 +595,101 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
     }
 }
 
+/// Minibatch states per crew member: a member that gets fewer would spend
+/// more on its start-up and handoffs than it saves.
+const STATES_PER_MEMBER: usize = 8;
+
+/// The most threads an update's crew may use: the caller's
+/// ([`acso_runtime::available_threads`], so 1 on a fan-out's worker and at
+/// most `ACSO_THREADS`), bounded by the work a minibatch of `batch` states
+/// offers.
+fn crew_budget(batch: usize) -> usize {
+    acso_runtime::available_threads().min(batch.div_ceil(STATES_PER_MEMBER))
+}
+
+/// Every this many updates, one runs the way that has been slower, so a
+/// change in the machine's load shows; rare enough that a probe of a way
+/// half again as slow costs under 2% of the updates' time.
+const PROBE_EVERY: u64 = 32;
+
+/// Updates at the start that alternate between the two ways, to measure
+/// both.
+const SEED_UPDATES: u64 = 8;
+
+/// Update times kept per way; a way's time is their median, which one
+/// update that a busy host stalled does not move.
+const TIMES_KEPT: usize = 8;
+
+/// Whether updates open their crew, chosen from measured update times.
+///
+/// A crew pays only while its helpers get cores of their own. On a VM
+/// whose host is busy, the second vCPU runs a helper on time taken from the
+/// caller's, and the update slows down instead. So every update is timed:
+/// after [`SEED_UPDATES`] that alternate, updates run the way whose recent
+/// median time is lower, and every [`PROBE_EVERY`]-th runs the other way.
+/// Which threads compute an update never changes a bit, so the choice is
+/// timing state alone: checkpoints do not carry it and `eval_clone` starts
+/// afresh.
+#[derive(Debug, Clone, Default)]
+struct CrewChoice {
+    /// Recent update times with the crew, in seconds.
+    with: RecentTimes,
+    /// Recent update times without it.
+    without: RecentTimes,
+    /// Updates seen.
+    updates: u64,
+}
+
+/// The last [`TIMES_KEPT`] times recorded, in a ring.
+#[derive(Debug, Clone, Default)]
+struct RecentTimes {
+    times: [f64; TIMES_KEPT],
+    recorded: usize,
+}
+
+impl RecentTimes {
+    fn push(&mut self, secs: f64) {
+        self.times[self.recorded % TIMES_KEPT] = secs;
+        self.recorded += 1;
+    }
+
+    /// The median of the kept times (`+∞` before the first).
+    fn median(&self) -> f64 {
+        let kept = self.recorded.min(TIMES_KEPT);
+        if kept == 0 {
+            return f64::INFINITY;
+        }
+        let mut times = self.times;
+        let times = &mut times[..kept];
+        times.sort_by(f64::total_cmp);
+        times[kept / 2]
+    }
+}
+
+impl CrewChoice {
+    /// Whether the next update opens its crew.
+    fn open(&self) -> bool {
+        if self.updates < SEED_UPDATES {
+            return self.updates.is_multiple_of(2);
+        }
+        let faster = self.with.median() <= self.without.median();
+        faster != self.updates.is_multiple_of(PROBE_EVERY)
+    }
+
+    /// Records an update's wall time. The first update, which sizes every
+    /// buffer, is left out.
+    fn record(&mut self, opened: bool, secs: f64) {
+        if self.updates > 0 {
+            if opened {
+                self.with.push(secs);
+            } else {
+                self.without.push(secs);
+            }
+        }
+        self.updates += 1;
+    }
+}
+
 /// Huber loss (δ = 1) of one TD error.
 fn huber_loss(td_error: f64) -> f64 {
     let delta = 1.0f64;
@@ -707,6 +833,21 @@ mod tests {
     use crate::agent::{AttentionQNet, BaselineConvQNet};
     use dbn::learn::{learn_model, LearnConfig};
     use ics_sim::{IcsEnvironment, SimConfig};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The width `AcsoAgent::update_width` returns on this test thread,
+        /// when set.
+        pub(super) static CREW_WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Runs `f` with every update on this thread opening a crew of `width`.
+    fn at_crew_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+        CREW_WIDTH.set(Some(width));
+        let out = f();
+        CREW_WIDTH.set(None);
+        out
+    }
 
     impl<N: QNetwork + Clone> AcsoAgent<N> {
         /// The uncached double-DQN bootstrap: fresh online and target
@@ -807,35 +948,65 @@ mod tests {
         losses
     }
 
-    /// Trains one agent through the batched update and an identical one
-    /// through the serial reference, then asserts the two runs agree bit
-    /// for bit: every loss, every weight of both networks and Adam's
-    /// moments. Returns the batched run's target-cache counters.
+    /// What a training run leaves behind, as bits: the losses, every weight
+    /// of both networks, the replay ring's priorities, Adam's state and the
+    /// target cache's counters.
+    #[derive(Debug, PartialEq)]
+    struct TrainedBits {
+        losses: Vec<u32>,
+        weights: Vec<Vec<u32>>,
+        priorities: Vec<u64>,
+        adam: Vec<u8>,
+        cache: TargetCacheStats,
+    }
+
+    fn trained_bits<N: QNetwork + Clone>(losses: &[f32], agent: &mut AcsoAgent<N>) -> TrainedBits {
+        let mut weights: Vec<Vec<u32>> = Vec::new();
+        for net in [&mut agent.online, &mut agent.target] {
+            weights.extend(
+                net.params_mut()
+                    .iter()
+                    .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect()),
+            );
+        }
+        let replay = agent.trainer.replay();
+        let mut priorities: Vec<u64> = (0..replay.len())
+            .map(|i| replay.leaf_priority(i).to_bits())
+            .collect();
+        priorities.push(replay.max_priority().to_bits());
+        TrainedBits {
+            losses: losses.iter().map(|l| l.to_bits()).collect(),
+            weights,
+            priorities,
+            adam: agent.optimizer.state_bytes(),
+            cache: agent.target_cache_stats(),
+        }
+    }
+
+    /// Trains one agent through the batched update, on a crew of two, and
+    /// an identical one through the serial reference, then asserts the two
+    /// runs agree bit for bit: every loss, every weight of both networks,
+    /// the replay priorities and Adam's moments. Returns the batched run's
+    /// target-cache counters.
     fn assert_serial_matches<N: QNetwork + Clone>(
         label: &str,
         train: impl Fn(Update<N>) -> (Vec<f32>, AcsoAgent<N>),
     ) -> TargetCacheStats {
         let run = |update: Update<N>| {
             let (losses, mut agent) = train(update);
-            let losses: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
-            let mut weights: Vec<Vec<u32>> = Vec::new();
-            for net in [&mut agent.online, &mut agent.target] {
-                weights.extend(
-                    net.params_mut()
-                        .iter()
-                        .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect()),
-                );
-            }
-            let stats = agent.target_cache_stats();
-            (losses, weights, agent.optimizer.state_bytes(), stats)
+            trained_bits(&losses, &mut agent)
         };
-        let (batched_losses, batched_weights, batched_adam, stats) = run(AcsoAgent::maybe_train);
-        let (serial_losses, serial_weights, serial_adam, _) = run(AcsoAgent::maybe_train_serial);
-        assert!(!batched_losses.is_empty(), "{label}: no update ran");
-        assert_eq!(batched_losses, serial_losses, "{label}: losses diverged");
-        assert_eq!(batched_weights, serial_weights, "{label}: weights diverged");
-        assert_eq!(batched_adam, serial_adam, "{label}: Adam moments diverged");
-        stats
+        let batched = at_crew_width(2, || run(AcsoAgent::maybe_train));
+        let serial = run(AcsoAgent::maybe_train_serial);
+        assert!(!batched.losses.is_empty(), "{label}: no update ran");
+        assert_eq!(batched.losses, serial.losses, "{label}: losses diverged");
+        assert_eq!(batched.weights, serial.weights, "{label}: weights diverged");
+        assert_eq!(
+            batched.priorities, serial.priorities,
+            "{label}: priorities diverged"
+        );
+        assert_eq!(batched.adam, serial.adam, "{label}: Adam moments diverged");
+        batched.cache
     }
 
     fn make_agent<N: QNetwork + Clone>(
@@ -962,6 +1133,100 @@ mod tests {
             }
             (losses, agent)
         });
+    }
+
+    /// The update's crew splits every large kernel across its members, and
+    /// each split keeps every output element's arithmetic: training at crew
+    /// widths 1, 2 and 3 (3 oversubscribes a 2-core machine) leaves the same
+    /// bits behind for both architectures, with the 16-slot ring's cache
+    /// hits, slot-reuse drops and sync clears.
+    #[test]
+    fn updates_are_bit_identical_at_every_crew_width() {
+        type Train<N> = fn() -> (Vec<f32>, AcsoAgent<N>);
+        fn check<N: QNetwork + Clone>(label: &str, train: Train<N>) {
+            let bits = |width| {
+                at_crew_width(width, || {
+                    let (losses, mut agent) = train();
+                    trained_bits(&losses, &mut agent)
+                })
+            };
+            let alone = bits(1);
+            assert!(!alone.losses.is_empty(), "{label}: no update ran");
+            for width in [2, 3] {
+                assert_eq!(bits(width), alone, "{label}: width {width} diverged");
+            }
+        }
+        check::<AttentionQNet>("attention", || {
+            let (mut env, mut agent) = make_agent(13, AttentionQNet::new);
+            let losses = train_episode(&mut agent, &mut env, 64, AcsoAgent::maybe_train);
+            (losses, agent)
+        });
+        check::<BaselineConvQNet>("baseline", || {
+            let (mut env, mut agent) = make_agent(13, BaselineConvQNet::new);
+            let losses = train_episode(&mut agent, &mut env, 64, AcsoAgent::maybe_train);
+            (losses, agent)
+        });
+        check::<AttentionQNet>("attention, 16-slot ring", || {
+            let (mut env, mut agent) = make_agent_with_ring(13, AttentionQNet::new, 16);
+            let losses = train_episode(&mut agent, &mut env, 120, AcsoAgent::maybe_train);
+            (losses, agent)
+        });
+    }
+
+    /// An update's crew budget is the caller's thread budget, bounded by
+    /// its minibatch; on a fan-out's worker that is one thread.
+    #[test]
+    fn crew_budget_follows_the_thread_budget_and_the_minibatch() {
+        assert_eq!(crew_budget(1), 1);
+        assert!(crew_budget(64) >= 1 && crew_budget(64) <= 8);
+        assert!(crew_budget(64) <= acso_runtime::available_threads());
+        let nested = acso_runtime::run_indexed(2, 2, |_| crew_budget(64));
+        assert_eq!(nested, vec![1, 1]);
+    }
+
+    /// Updates alternate while both ways are measured, then run the faster
+    /// way, with one probe of the slower way every `PROBE_EVERY` updates;
+    /// the choice follows a lasting change in which way is faster, not one
+    /// slow update.
+    #[test]
+    fn the_crew_opens_while_it_pays() {
+        let mut choice = CrewChoice::default();
+        let run = |choice: &mut CrewChoice, updates: u64, with: f64, without: f64| {
+            let mut opened = 0;
+            for _ in 0..updates {
+                let open = choice.open();
+                opened += u64::from(open);
+                choice.record(open, if open { with } else { without });
+            }
+            opened
+        };
+        assert_eq!(run(&mut choice, SEED_UPDATES, 1.0, 2.0), SEED_UPDATES / 2);
+        // The crew pays: every update but the probes opens it.
+        assert_eq!(
+            run(&mut choice, 4 * PROBE_EVERY, 1.0, 2.0),
+            4 * PROBE_EVERY - 4
+        );
+        // One stalled update does not move the choice.
+        assert_eq!(run(&mut choice, 1, 50.0, 2.0), 1);
+        assert!(choice.open());
+        // The machine gets busy: once most recent crew updates are slower,
+        // only the probes open it.
+        assert!(run(&mut choice, TIMES_KEPT as u64, 3.0, 2.0) < TIMES_KEPT as u64);
+        assert_eq!(run(&mut choice, 4 * PROBE_EVERY, 3.0, 2.0), 4);
+    }
+
+    /// A slot whose row would end past the byte budget is never stored:
+    /// inserting it allocates nothing and its lookups miss.
+    #[test]
+    fn target_cache_skips_slots_past_its_byte_budget() {
+        let width = 173;
+        let first_past = TARGET_CACHE_BYTES / (width * std::mem::size_of::<f32>());
+        let mut cache = TargetCache::new(width);
+        cache.insert(first_past, first_past + 1, &vec![1.0; width]);
+        assert!(cache.row(first_past).is_none());
+        assert_eq!(cache.values.capacity(), 0);
+        assert_eq!(cache.valid.capacity(), 0);
+        assert_eq!(cache.stats, TargetCacheStats::default());
     }
 
     /// The soak harness's cache check passes on live rows and names a

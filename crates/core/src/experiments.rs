@@ -93,7 +93,6 @@ impl ExperimentScale {
             .clamp(0.5, 0.999);
         TrainConfig {
             sim: self.train_sim.clone(),
-            dbn_threads: None,
             agent: if self.train_episodes <= 2 {
                 crate::agent::AgentConfig::smoke()
             } else {
@@ -305,10 +304,9 @@ pub fn grid_search(scale: &ExperimentScale) -> Vec<GridSearchRow> {
     let threads = acso_runtime::available_threads().min(4);
     acso_runtime::run_indexed(grid.len(), threads, |i| {
         let (shaping, target_update_interval, epsilon_decay) = grid[i];
+        // Each grid cell occupies one pool worker, so its DBN fit and its
+        // updates run on that worker alone (nested fan-outs run inline).
         let mut config = scale.train_config();
-        // Each grid cell already occupies one pool worker; keep its inner
-        // DBN data-collection serial so the fan-outs do not multiply.
-        config.dbn_threads = Some(1);
         config.sim = if shaping {
             config.sim.clone()
         } else {

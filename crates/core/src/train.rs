@@ -28,11 +28,6 @@ pub struct TrainConfig {
     /// Number of random-defender episodes used to fit the DBN filter before
     /// training starts (the paper uses 1 000).
     pub dbn_episodes: usize,
-    /// Worker threads for the DBN data-collection fan-out. `None` uses
-    /// `ACSO_THREADS`/available parallelism; callers that already run inside
-    /// a thread pool (the grid search) pin this to `Some(1)` so nested
-    /// fan-outs do not oversubscribe the machine.
-    pub dbn_threads: Option<usize>,
     /// Seed for environment and DBN data collection.
     pub seed: u64,
 }
@@ -47,7 +42,6 @@ impl TrainConfig {
             agent: AgentConfig::default(),
             episodes,
             dbn_episodes: 50,
-            dbn_threads: None,
             seed: 0,
         }
     }
@@ -60,7 +54,6 @@ impl TrainConfig {
             agent: AgentConfig::smoke(),
             episodes,
             dbn_episodes: 2,
-            dbn_threads: None,
             seed: 0,
         }
     }
@@ -279,10 +272,7 @@ pub fn train_attention_acso(config: &TrainConfig) -> TrainedAcso {
         seed: config.seed,
         sim: config.sim.clone(),
     };
-    let dbn_model = match config.dbn_threads {
-        Some(threads) => dbn::learn::learn_model_with_threads(&learn_config, threads),
-        None => learn_model(&learn_config),
-    };
+    let dbn_model = learn_model(&learn_config);
     let env = IcsEnvironment::new(config.sim.clone().with_seed(config.seed));
     let action_space = ActionSpace::new(env.topology());
     let network = AttentionQNet::new(action_space, config.seed);
@@ -320,10 +310,7 @@ pub fn train_attention_acso_checkpointed(
         seed: config.seed,
         sim: config.sim.clone(),
     };
-    let dbn_model = match config.dbn_threads {
-        Some(threads) => dbn::learn::learn_model_with_threads(&learn_config, threads),
-        None => learn_model(&learn_config),
-    };
+    let dbn_model = learn_model(&learn_config);
     let env = IcsEnvironment::new(config.sim.clone().with_seed(config.seed));
     let action_space = ActionSpace::new(env.topology());
     let network = AttentionQNet::new(action_space, config.seed);

@@ -146,17 +146,12 @@ fn collect_episode(config: &LearnConfig, episode: usize) -> (TransitionCpt, Obse
 /// transition and observation tables by counting.
 ///
 /// Episodes are independent and fan out over `ACSO_THREADS` workers (default:
-/// available parallelism); per-episode count shards are merged in episode
-/// order, so the learned model is identical for any thread count.
+/// available parallelism; one, inline, when the caller is itself a
+/// fan-out's worker, such as a grid-search cell); per-episode count shards
+/// are merged in episode order, so the learned model is identical for any
+/// thread count.
 pub fn learn_model(config: &LearnConfig) -> DbnModel {
-    learn_model_with_threads(config, acso_runtime::available_threads())
-}
-
-/// [`learn_model`] with an explicit worker count. Callers that are already
-/// running inside a thread pool (e.g. a grid search training several models
-/// concurrently) pass `1` to avoid oversubscribing the machine; the result
-/// is identical for any value.
-pub fn learn_model_with_threads(config: &LearnConfig, threads: usize) -> DbnModel {
+    let threads = acso_runtime::available_threads();
     let shards = acso_runtime::run_indexed(config.episodes, threads, |episode| {
         collect_episode(config, episode)
     });

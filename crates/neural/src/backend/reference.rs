@@ -9,6 +9,7 @@ use super::{KernelBackend, Tolerance};
 use crate::layers::ActivationKind;
 use crate::matrix::Matrix;
 use crate::scratch::Scratch;
+use std::ops::Range;
 
 /// The always-available exact-order backend (see the module docs).
 ///
@@ -27,30 +28,15 @@ impl KernelBackend for ReferenceBackend {
     }
 }
 
-/// Reference body of [`KernelBackend::activation_grad_from_output`]: the
+/// Reference body of [`KernelBackend::activation_grad_elements`]: the
 /// scalar element-wise loop the activation layer used before the seam.
-pub(super) fn activation_grad_from_output(
+pub(super) fn activation_grad_elements(
     kind: ActivationKind,
-    output: &Matrix,
-    grad_output: &Matrix,
-    grad_input: &mut Matrix,
+    output: &[f32],
+    grad_output: &[f32],
+    grad_input: &mut [f32],
 ) {
-    assert_eq!(
-        grad_output.shape(),
-        output.shape(),
-        "activation gradient shape mismatch"
-    );
-    assert_eq!(
-        grad_input.shape(),
-        output.shape(),
-        "activation gradient output shape mismatch"
-    );
-    for ((g, &go), &y) in grad_input
-        .data_mut()
-        .iter_mut()
-        .zip(grad_output.data())
-        .zip(output.data())
-    {
+    for ((g, &go), &y) in grad_input.iter_mut().zip(grad_output).zip(output) {
         *g = go * kind.derivative_from_output(y);
     }
 }
@@ -84,37 +70,34 @@ pub(super) fn attention_item_rows(q: &Matrix, k: &Matrix, v: &Matrix, items: usi
     n
 }
 
-/// Reference body of [`KernelBackend::attention_forward_fused`]: a per-item
-/// loop over gathered row blocks running exactly the solo forward's kernel
-/// calls (`Q_i·K_iᵀ` via the lane-summed transb kernel, scalar scale,
-/// exact-order softmax, tiled `A_i·V_i`). Each of those computes an output
-/// row from its own query row alone, so each item's scores and mixed values
-/// are bit-identical to a solo pass on that item, and each query row's to
-/// the same row of the square pass — the contracts the batched determinism
-/// fixtures and the grouped Q-network inference pin.
+/// Reference body of [`KernelBackend::attention_forward_items`]: a
+/// per-item loop over gathered row blocks running exactly the solo
+/// forward's kernel calls (`Q_i·K_iᵀ` via the lane-summed transb kernel,
+/// scalar scale, exact-order softmax, tiled `A_i·V_i`). Each of those
+/// computes an output row from its own query row alone, so each item's
+/// scores and mixed values are bit-identical to a solo pass on that item,
+/// and each query row's to the same row of the square pass — the contracts
+/// the batched determinism fixtures and the grouped Q-network inference pin.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn attention_forward_fused(
+pub(super) fn attention_forward_items(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
     items: usize,
+    range: Range<usize>,
     scale: f32,
-    mut attn: Option<&mut Matrix>,
-    mixed: &mut Matrix,
+    mut attn: Option<&mut [f32]>,
+    mixed: &mut [f32],
     scratch: &mut Scratch,
 ) {
     let (m, n) = attention_forward_rows(q, k, v, items);
     let d = q.cols();
-    assert_eq!(mixed.shape(), (items * m, d), "attention mixed shape");
-    if let Some(attn) = attn.as_deref() {
-        assert_eq!(attn.shape(), (items * m, n), "attention stacked-A shape");
-    }
     let mut qi = scratch.take(m, d);
     let mut ki = scratch.take(n, d);
     let mut vi = scratch.take(n, d);
     let mut attn_i = scratch.take(m, n);
     let mut mixed_i = scratch.take(m, d);
-    for item in 0..items {
+    for (at, item) in range.enumerate() {
         q.copy_row_block_into(item * m, &mut qi);
         k.copy_row_block_into(item * n, &mut ki);
         v.copy_row_block_into(item * n, &mut vi);
@@ -123,9 +106,9 @@ pub(super) fn attention_forward_fused(
         attn_i.softmax_rows_inplace();
         attn_i.matmul_into(&vi, &mut mixed_i);
         if let Some(attn) = attn.as_deref_mut() {
-            attn.write_row_block(item * m, &attn_i);
+            attn[at * m * n..(at + 1) * m * n].copy_from_slice(attn_i.data());
         }
-        mixed.write_row_block(item * m, &mixed_i);
+        mixed[at * m * d..(at + 1) * m * d].copy_from_slice(mixed_i.data());
     }
     scratch.recycle(qi);
     scratch.recycle(ki);
@@ -134,32 +117,28 @@ pub(super) fn attention_forward_fused(
     scratch.recycle(mixed_i);
 }
 
-/// Reference body of [`KernelBackend::attention_backward_fused`]: the
+/// Reference body of [`KernelBackend::attention_backward_items`]: the
 /// per-item gathered-block loop of the pre-seam batched backward —
 /// `dA_i = dM_i·V_iᵀ`, `dV_i = A_iᵀ·dM_i`, the scalar softmax-backward rows
 /// (`dS = A ⊙ (dA − (dA·A)) * scale`), then `dQ_i = dS_i·K_i` and
 /// `dK_i = dS_iᵀ·Q_i` — bit-identical to a solo backward per item.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn attention_backward_fused(
+pub(super) fn attention_backward_items(
     grad_mixed: &Matrix,
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
     attn: &Matrix,
     items: usize,
+    range: Range<usize>,
     scale: f32,
-    grad_q: &mut Matrix,
-    grad_k: &mut Matrix,
-    grad_v: &mut Matrix,
+    grad_q: &mut [f32],
+    grad_k: &mut [f32],
+    grad_v: &mut [f32],
     scratch: &mut Scratch,
 ) {
     let n = attention_item_rows(q, k, v, items);
     let d = q.cols();
-    assert_eq!(grad_mixed.shape(), (items * n, d), "attention dM shape");
-    assert_eq!(attn.shape(), (items * n, n), "attention stacked-A shape");
-    assert_eq!(grad_q.shape(), (items * n, d), "attention dQ shape");
-    assert_eq!(grad_k.shape(), (items * n, d), "attention dK shape");
-    assert_eq!(grad_v.shape(), (items * n, d), "attention dV shape");
     let mut gm_i = scratch.take(n, d);
     let mut v_i = scratch.take(n, d);
     let mut q_i = scratch.take(n, d);
@@ -169,7 +148,7 @@ pub(super) fn attention_backward_fused(
     let mut gq_i = scratch.take(n, d);
     let mut gk_i = scratch.take(n, d);
     let mut gv_i = scratch.take(n, d);
-    for item in 0..items {
+    for (at, item) in range.enumerate() {
         let start = item * n;
         grad_mixed.copy_row_block_into(start, &mut gm_i);
         v.copy_row_block_into(start, &mut v_i);
@@ -195,9 +174,10 @@ pub(super) fn attention_backward_fused(
         ga_i.matmul_into(&k_i, &mut gq_i);
         ga_i.matmul_transa_into(&q_i, &mut gk_i);
 
-        grad_q.write_row_block(start, &gq_i);
-        grad_k.write_row_block(start, &gk_i);
-        grad_v.write_row_block(start, &gv_i);
+        let block = at * n * d..(at + 1) * n * d;
+        grad_q[block.clone()].copy_from_slice(gq_i.data());
+        grad_k[block.clone()].copy_from_slice(gk_i.data());
+        grad_v[block].copy_from_slice(gv_i.data());
     }
     scratch.recycle(gm_i);
     scratch.recycle(v_i);

@@ -28,6 +28,7 @@ use super::{reference, KernelBackend, Tolerance};
 use crate::layers::ActivationKind;
 use crate::matrix::Matrix;
 use crate::scratch::Scratch;
+use std::ops::Range;
 
 /// The feature-gated AVX2/FMA backend (see the module docs).
 #[derive(Debug, Clone, Copy)]
@@ -75,26 +76,6 @@ impl Default for SimdBackend {
     }
 }
 
-/// Shape checks mirroring the [`Matrix`] kernel asserts, run before handing
-/// raw slices to the unsafe AVX kernels.
-#[cfg(target_arch = "x86_64")]
-fn check_gemm(a: &Matrix, b: &Matrix, out: &Matrix) {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul shape mismatch: {}x{} * {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    assert_eq!(
-        out.shape(),
-        (a.rows(), b.cols()),
-        "matmul output shape mismatch"
-    );
-}
-
 impl KernelBackend for SimdBackend {
     fn name(&self) -> &'static str {
         "simd"
@@ -112,91 +93,70 @@ impl KernelBackend for SimdBackend {
         }
     }
 
-    fn matmul_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    // The range kernels check the lengths of the slices they are handed
+    // before the unsafe AVX kernels address them.
+
+    fn gemm_rows(&self, a: &[f32], b: &Matrix, out: &mut [f32], accumulate: bool) {
         #[cfg(target_arch = "x86_64")]
         if self.avx2_active() {
-            check_gemm(a, b, out);
+            let (kk, n) = (b.rows(), b.cols());
+            let m = out.len().checked_div(n).unwrap_or(0);
+            assert!(
+                out.len() == m * n && a.len() == m * kk,
+                "gemm rows: {} and {} values for a {kk}x{n} right operand",
+                a.len(),
+                out.len()
+            );
+            // SAFETY: AVX2+FMA were detected; `a` holds `m * kk` values,
+            // `b` `kk * n` and `out` `m * n`.
             unsafe {
-                avx::gemm(
-                    a.data(),
-                    b.data(),
-                    out.data_mut(),
-                    a.rows(),
-                    a.cols(),
-                    b.cols(),
-                    false,
-                );
+                avx::gemm(a, b.data(), out, m, kk, n, accumulate);
             }
             return;
         }
-        a.matmul_into(b, out);
+        crate::matrix::matmul_rows(a, b, out, accumulate);
     }
 
-    fn add_matmul(&self, out: &mut Matrix, a: &Matrix, b: &Matrix) {
-        #[cfg(target_arch = "x86_64")]
-        if self.avx2_active() {
-            check_gemm(a, b, out);
-            unsafe {
-                avx::gemm(
-                    a.data(),
-                    b.data(),
-                    out.data_mut(),
-                    a.rows(),
-                    a.cols(),
-                    b.cols(),
-                    true,
-                );
-            }
-            return;
-        }
-        out.add_matmul(a, b);
-    }
-
-    fn add_matmul_transa_blocks(
+    fn transa_rows(
         &self,
-        out: &mut Matrix,
+        out: &mut [f32],
+        out_rows: Range<usize>,
         a: &Matrix,
         b: &Matrix,
         row_start: usize,
         rows: usize,
     ) {
         #[cfg(target_arch = "x86_64")]
-        if self.avx2_active() {
-            assert_eq!(
-                a.rows(),
-                b.rows(),
-                "matmul_transa shape mismatch: {}x{}ᵀ * {}x{}",
-                a.rows(),
-                a.cols(),
-                b.rows(),
-                b.cols()
-            );
-            assert_eq!(
-                out.shape(),
-                (a.cols(), b.cols()),
-                "matmul_transa output shape mismatch"
-            );
+        if self.avx2_active() && rows > 0 {
+            let (r, c) = (a.cols(), b.cols());
+            assert_eq!(a.rows(), b.rows(), "matmul_transa row mismatch");
             assert!(
-                row_start + rows <= a.rows(),
-                "row block {}..{} out of {} rows",
-                row_start,
-                row_start + rows,
+                out_rows.end <= r
+                    && out.len() == out_rows.len() * c
+                    && row_start + rows <= a.rows(),
+                "transa rows {out_rows:?} of {r}, {} values, block {row_start}+{rows} of {}",
+                out.len(),
                 a.rows()
             );
-            let (r, c) = (a.cols(), b.cols());
+            // SAFETY: AVX2+FMA were detected. The `a` block starts at column
+            // `out_rows.start` of row `row_start` and the kernel reads
+            // `out_rows.len()` columns of each of `rows` rows at stride `r`,
+            // all inside `a`; the `b` block holds `rows * c` values and
+            // `out` `out_rows.len() * c`.
             unsafe {
                 avx::gemm_transa(
-                    &a.data()[row_start * r..(row_start + rows) * r],
+                    &a.data()[row_start * r + out_rows.start..(row_start + rows) * r],
                     &b.data()[row_start * c..(row_start + rows) * c],
-                    out.data_mut(),
+                    out,
                     rows,
                     r,
+                    out_rows.len(),
                     c,
                 );
             }
             return;
         }
-        out.add_matmul_transa_blocks(a, b, row_start, rows);
+        crate::matrix::transa_rows(out, out_rows, a, b, row_start, rows);
     }
 
     fn matmul_transb_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
@@ -250,7 +210,7 @@ impl KernelBackend for SimdBackend {
         m.softmax_rows_inplace();
     }
 
-    fn apply_activation(&self, kind: ActivationKind, m: &mut Matrix) {
+    fn activation_elements(&self, kind: ActivationKind, data: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         if self.avx2_active() {
             // Tanh stays scalar: a vector tanh would need its own polynomial
@@ -258,86 +218,82 @@ impl KernelBackend for SimdBackend {
             // the per-state cost.
             if kind != ActivationKind::Tanh {
                 unsafe {
-                    avx::apply_activation(kind, m.data_mut());
+                    avx::apply_activation(kind, data);
                 }
                 return;
             }
         }
-        m.map_inplace(|x| kind.apply(x));
+        for v in data {
+            *v = kind.apply(*v);
+        }
     }
 
-    fn activation_grad_from_output(
+    fn activation_grad_elements(
         &self,
         kind: ActivationKind,
-        output: &Matrix,
-        grad_output: &Matrix,
-        grad_input: &mut Matrix,
+        output: &[f32],
+        grad_output: &[f32],
+        grad_input: &mut [f32],
     ) {
         #[cfg(target_arch = "x86_64")]
         if self.avx2_active() {
-            assert_eq!(
-                grad_output.shape(),
-                output.shape(),
-                "activation gradient shape mismatch"
-            );
-            assert_eq!(
-                grad_input.shape(),
-                output.shape(),
-                "activation gradient output shape mismatch"
+            assert!(
+                grad_output.len() == output.len() && grad_input.len() == output.len(),
+                "activation gradient length mismatch"
             );
             unsafe {
-                avx::activation_grad(
-                    kind,
-                    output.data(),
-                    grad_output.data(),
-                    grad_input.data_mut(),
-                );
+                avx::activation_grad(kind, output, grad_output, grad_input);
             }
             return;
         }
-        reference::activation_grad_from_output(kind, output, grad_output, grad_input);
+        reference::activation_grad_elements(kind, output, grad_output, grad_input);
     }
 
-    fn attention_forward_fused(
+    fn attention_forward_items(
         &self,
         q: &Matrix,
         k: &Matrix,
         v: &Matrix,
         items: usize,
+        range: Range<usize>,
         scale: f32,
-        attn: Option<&mut Matrix>,
-        mixed: &mut Matrix,
+        mut attn: Option<&mut [f32]>,
+        mixed: &mut [f32],
         scratch: &mut Scratch,
     ) {
         #[cfg(target_arch = "x86_64")]
         if self.avx2_active() {
             let (m, n) = reference::attention_forward_rows(q, k, v, items);
             let d = q.cols();
-            assert_eq!(mixed.shape(), (items * m, d), "attention mixed shape");
-            let mut attn = attn;
+            assert!(range.end <= items, "items {range:?} of {items}");
+            assert_eq!(mixed.len(), range.len() * m * d, "attention mixed length");
             if let Some(attn) = attn.as_deref() {
-                assert_eq!(attn.shape(), (items * m, n), "attention stacked-A shape");
+                assert_eq!(
+                    attn.len(),
+                    range.len() * m * n,
+                    "attention stacked-A length"
+                );
             }
             // One fused pass per block of query rows, directly on the
             // stacked block-diagonal layout — no per-item gather copies. A
             // block's score rows land in the stacked attention cache when
             // the caller wants it, otherwise in this reused block buffer.
             let mut score = scratch.take(avx::QUERY_BLOCK, n);
-            for item in 0..items {
+            for (at, item) in range.enumerate() {
                 let (qr, kr) = (item * m, item * n);
                 let qb = &q.data()[qr * d..(qr + m) * d];
                 let kb = &k.data()[kr * d..(kr + n) * d];
                 let vb = &v.data()[kr * d..(kr + n) * d];
-                let mb = &mut mixed.data_mut()[qr * d..(qr + m) * d];
+                let mb = &mut mixed[at * m * d..(at + 1) * m * d];
                 let ab = attn
                     .as_deref_mut()
-                    .map(|a| &mut a.data_mut()[qr * n..(qr + m) * n]);
+                    .map(|a| &mut a[at * m * n..(at + 1) * m * n]);
                 // SAFETY: AVX2+FMA were detected above.
-                // `attention_forward_rows` and the `mixed`/`attn` shape
-                // asserts make `qb` and `mb` exactly `m * d` long, `kb` and
-                // `vb` `n * d` and `ab` `m * n`, and `score` holds
-                // `QUERY_BLOCK * n`, so every block the kernel addresses lies
-                // inside the slice it was given.
+                // `attention_forward_rows` and the length asserts make `qb`
+                // and `mb` exactly `m * d` long, `kb` and `vb` `n * d` and
+                // `ab` `m * n`, and `score` holds `QUERY_BLOCK * n`, so every
+                // block the kernel addresses lies inside the slice it was
+                // given.
                 unsafe {
                     avx::attention_forward_item(
                         qb,
@@ -356,10 +312,10 @@ impl KernelBackend for SimdBackend {
             scratch.recycle(score);
             return;
         }
-        reference::attention_forward_fused(q, k, v, items, scale, attn, mixed, scratch);
+        reference::attention_forward_items(q, k, v, items, range, scale, attn, mixed, scratch);
     }
 
-    fn attention_backward_fused(
+    fn attention_backward_items(
         &self,
         grad_mixed: &Matrix,
         q: &Matrix,
@@ -367,64 +323,52 @@ impl KernelBackend for SimdBackend {
         v: &Matrix,
         attn: &Matrix,
         items: usize,
+        range: Range<usize>,
         scale: f32,
-        grad_q: &mut Matrix,
-        grad_k: &mut Matrix,
-        grad_v: &mut Matrix,
+        grad_q: &mut [f32],
+        grad_k: &mut [f32],
+        grad_v: &mut [f32],
         scratch: &mut Scratch,
     ) {
         #[cfg(target_arch = "x86_64")]
         if self.avx2_active() {
             let n = reference::attention_item_rows(q, k, v, items);
             let d = q.cols();
+            assert!(range.end <= items, "items {range:?} of {items}");
             assert_eq!(grad_mixed.shape(), (items * n, d), "attention dM shape");
             assert_eq!(attn.shape(), (items * n, n), "attention stacked-A shape");
-            assert_eq!(grad_q.shape(), (items * n, d), "attention dQ shape");
-            assert_eq!(grad_k.shape(), (items * n, d), "attention dK shape");
-            assert_eq!(grad_v.shape(), (items * n, d), "attention dV shape");
+            for (what, g) in [("dQ", &*grad_q), ("dK", &*grad_k), ("dV", &*grad_v)] {
+                assert_eq!(g.len(), range.len() * n * d, "attention {what} length");
+            }
             // dS is the only temporary; grad_q/k/v blocks are written in
             // place on the stacked layout (they arrive zero-filled, so the
             // accumulate-style transa kernel writes them exactly).
             let mut ds = scratch.take(n, n);
-            for item in 0..items {
+            for (at, item) in range.enumerate() {
                 let r = item * n;
                 let gm = &grad_mixed.data()[r * d..(r + n) * d];
                 let qb = &q.data()[r * d..(r + n) * d];
                 let kb = &k.data()[r * d..(r + n) * d];
                 let vb = &v.data()[r * d..(r + n) * d];
                 let ab = &attn.data()[r * n..(r + n) * n];
+                let out = at * n * d..(at + 1) * n * d;
                 unsafe {
                     // dA = dM·Vᵀ
                     avx::gemm_transb(gm, vb, ds.data_mut(), n, d, n, false);
                     // dV = Aᵀ·dM (into the zeroed block)
-                    avx::gemm_transa(ab, gm, &mut grad_v.data_mut()[r * d..(r + n) * d], n, n, d);
+                    avx::gemm_transa(ab, gm, &mut grad_v[out.clone()], n, n, n, d);
                     // dS = A ⊙ (dA − (dA·A)) * scale, row by row
                     avx::softmax_backward_rows(ab, ds.data_mut(), n, scale);
                     // dQ = dS·K, dK = dSᵀ·Q
-                    avx::gemm(
-                        ds.data(),
-                        kb,
-                        &mut grad_q.data_mut()[r * d..(r + n) * d],
-                        n,
-                        n,
-                        d,
-                        false,
-                    );
-                    avx::gemm_transa(
-                        ds.data(),
-                        qb,
-                        &mut grad_k.data_mut()[r * d..(r + n) * d],
-                        n,
-                        n,
-                        d,
-                    );
+                    avx::gemm(ds.data(), kb, &mut grad_q[out.clone()], n, n, d, false);
+                    avx::gemm_transa(ds.data(), qb, &mut grad_k[out], n, n, n, d);
                 }
             }
             scratch.recycle(ds);
             return;
         }
-        reference::attention_backward_fused(
-            grad_mixed, q, k, v, attn, items, scale, grad_q, grad_k, grad_v, scratch,
+        reference::attention_backward_items(
+            grad_mixed, q, k, v, attn, items, range, scale, grad_q, grad_k, grad_v, scratch,
         );
     }
 }
@@ -694,19 +638,24 @@ mod avx {
 
     /// `out += aᵀ · b` over `rows` stacked rows (always accumulating — the
     /// parameter-gradient flush; callers zero `out` for the `=` form), in
-    /// 4-output-row × 16-column register tiles. Each output element sums
-    /// its own chain from zero over ascending rows and is added into `out`
-    /// once, so the bits do not depend on the tiling.
+    /// 4-output-row × 16-column register tiles. `a`'s rows lie `lda` values
+    /// apart and each contributes its first `r` values, one per output row,
+    /// so a column range of a wider `a` yields that range of output rows.
+    /// Each output element sums its own chain from zero over ascending rows
+    /// and is added into `out` once, so the bits do not depend on the
+    /// tiling or on which output rows one call covers.
     pub unsafe fn gemm_transa(
         a: &[f32],
         b: &[f32],
         out: &mut [f32],
         rows: usize,
+        lda: usize,
         r: usize,
         c: usize,
     ) {
-        debug_assert!(a.len() >= rows * r && b.len() >= rows * c && out.len() >= r * c);
-        gemm_transa_inner(a.as_ptr(), b.as_ptr(), out.as_mut_ptr(), rows, r, c);
+        debug_assert!(rows == 0 || a.len() >= (rows - 1) * lda + r);
+        debug_assert!(b.len() >= rows * c && out.len() >= r * c);
+        gemm_transa_inner(a.as_ptr(), b.as_ptr(), out.as_mut_ptr(), rows, lda, r, c);
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -715,16 +664,17 @@ mod avx {
         b: *const f32,
         out: *mut f32,
         rows: usize,
+        lda: usize,
         r: usize,
         c: usize,
     ) {
         let mut i0 = 0;
         while i0 + 4 <= r {
-            gemm_transa_rows::<4>(a, b, out, i0, rows, r, c);
+            gemm_transa_rows::<4>(a, b, out, i0, rows, lda, c);
             i0 += 4;
         }
         while i0 < r {
-            gemm_transa_rows::<1>(a, b, out, i0, rows, r, c);
+            gemm_transa_rows::<1>(a, b, out, i0, rows, lda, c);
             i0 += 1;
         }
     }
@@ -739,7 +689,7 @@ mod avx {
         out: *mut f32,
         i0: usize,
         rows: usize,
-        r: usize,
+        lda: usize,
         c: usize,
     ) {
         let mut j0 = 0;
@@ -749,7 +699,7 @@ mod avx {
                 let b0 = _mm256_loadu_ps(b.add(k * c + j0));
                 let b1 = _mm256_loadu_ps(b.add(k * c + j0 + 8));
                 for (ii, acc_row) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*a.add(k * r + i0 + ii));
+                    let av = _mm256_set1_ps(*a.add(k * lda + i0 + ii));
                     acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
                     acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
                 }
@@ -769,7 +719,7 @@ mod avx {
             for k in 0..rows {
                 let b0 = _mm256_loadu_ps(b.add(k * c + j0));
                 for (ii, acc_row) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*a.add(k * r + i0 + ii));
+                    let av = _mm256_set1_ps(*a.add(k * lda + i0 + ii));
                     *acc_row = _mm256_fmadd_ps(av, b0, *acc_row);
                 }
             }
@@ -783,7 +733,7 @@ mod avx {
             for ii in 0..IB {
                 let mut s = 0.0f32;
                 for k in 0..rows {
-                    s += *a.add(k * r + i0 + ii) * *b.add(k * c + j0);
+                    s += *a.add(k * lda + i0 + ii) * *b.add(k * c + j0);
                 }
                 *out.add((i0 + ii) * c + j0) += s;
             }
@@ -1189,7 +1139,7 @@ mod tests {
                     let b = filled(rows, c, seed + 1);
                     let start = filled(r, c, seed + 2);
                     let mut got = start.clone();
-                    unsafe { avx::gemm_transa(a.data(), b.data(), got.data_mut(), rows, r, c) };
+                    unsafe { avx::gemm_transa(a.data(), b.data(), got.data_mut(), rows, r, r, c) };
                     let vector_cols = c / 8 * 8;
                     for i in 0..r {
                         for j in 0..c {

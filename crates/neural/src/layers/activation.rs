@@ -106,8 +106,8 @@ impl Activation {
 impl Layer for Activation {
     fn forward(&mut self, input: &Matrix, scratch: &mut Scratch) -> Matrix {
         let be = scratch.backend();
-        let mut out = scratch.take_copy(input);
-        be.apply_activation(self.kind, &mut out);
+        let mut out = scratch.take_for_overwrite(input.rows(), input.cols());
+        be.activation_into(self.kind, input, &mut out);
         cache_input(&mut self.cached_output, &out);
         out
     }
@@ -117,8 +117,8 @@ impl Layer for Activation {
         // item; the backward cache (the last solo forward's output) is left
         // untouched.
         let be = scratch.backend();
-        let mut out = scratch.take_copy(input.matrix());
-        be.apply_activation(self.kind, &mut out);
+        let mut out = scratch.take_for_overwrite(input.matrix().rows(), input.cols());
+        be.activation_into(self.kind, input.matrix(), &mut out);
         Batch::new(out, input.items())
     }
 
@@ -133,7 +133,7 @@ impl Layer for Activation {
             "activation gradient shape mismatch"
         );
         let be = scratch.backend();
-        let mut grad_input = scratch.take(output.rows(), output.cols());
+        let mut grad_input = scratch.take_for_overwrite(output.rows(), output.cols());
         be.activation_grad_from_output(self.kind, output, grad_output, &mut grad_input);
         grad_input
     }

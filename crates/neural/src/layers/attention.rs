@@ -167,11 +167,11 @@ impl SelfAttention {
         let b = input.items();
         let m = input.rows_per_item();
         let rows = b * m;
-        let mut q = scratch.take(rows, self.attn_dim);
+        let mut q = scratch.take_for_overwrite(rows, self.attn_dim);
         be.matmul_into(input.matrix(), &self.wq.value, &mut q);
-        let mut k = scratch.take(rows, self.attn_dim);
+        let mut k = scratch.take_for_overwrite(rows, self.attn_dim);
         be.matmul_into(input.matrix(), &self.wk.value, &mut k);
-        let mut v = scratch.take(rows, self.attn_dim);
+        let mut v = scratch.take_for_overwrite(rows, self.attn_dim);
         be.matmul_into(input.matrix(), &self.wv.value, &mut v);
         // Grouped keys: copy each distinct row's K and V out to every row
         // it stands for, in row order, so the scores, softmax and mix below
@@ -186,8 +186,8 @@ impl SelfAttention {
                     groups.len()
                 );
                 let n = groups.len() / b;
-                let mut k_all = scratch.take(b * n, self.attn_dim);
-                let mut v_all = scratch.take(b * n, self.attn_dim);
+                let mut k_all = scratch.take_for_overwrite(b * n, self.attn_dim);
+                let mut v_all = scratch.take_for_overwrite(b * n, self.attn_dim);
                 for (row, &g) in groups.iter().enumerate() {
                     assert!(g < m, "row group {g} out of {m} rows per item");
                     let src = row / n * m + g;
@@ -206,13 +206,13 @@ impl SelfAttention {
         // block-diagonal score/softmax/mix stage is one fused backend call
         // over the stacked `[b*m, ·]` queries and `[b*n, ·]` keys.
         let mut attn = if cache_for_backward {
-            Some(scratch.take(rows, n))
+            Some(scratch.take_for_overwrite(rows, n))
         } else {
             None
         };
-        let mut mixed = scratch.take(rows, self.attn_dim);
+        let mut mixed = scratch.take_for_overwrite(rows, self.attn_dim);
         be.attention_forward_fused(&q, &k, &v, b, scale, attn.as_mut(), &mut mixed, scratch);
-        let mut out = Batch::take(scratch, b, m, self.wo.value.cols());
+        let mut out = Batch::new(scratch.take_for_overwrite(rows, self.wo.value.cols()), b);
         be.matmul_into(&mixed, &self.wo.value, out.matrix_mut());
 
         match attn {
@@ -252,11 +252,11 @@ impl Layer for SelfAttention {
         }
         let be = scratch.backend();
         let n = input.rows();
-        let mut q = scratch.take(n, self.attn_dim);
+        let mut q = scratch.take_for_overwrite(n, self.attn_dim);
         be.matmul_into(input, &self.wq.value, &mut q);
-        let mut k = scratch.take(n, self.attn_dim);
+        let mut k = scratch.take_for_overwrite(n, self.attn_dim);
         be.matmul_into(input, &self.wk.value, &mut k);
-        let mut v = scratch.take(n, self.attn_dim);
+        let mut v = scratch.take_for_overwrite(n, self.attn_dim);
         be.matmul_into(input, &self.wv.value, &mut v);
 
         let scale = 1.0 / (self.attn_dim as f32).sqrt();
@@ -264,10 +264,10 @@ impl Layer for SelfAttention {
         // (`softmax(Q·Kᵀ·scale)`, computed without materialising Kᵀ) land in
         // the cached attention matrix and the mixed values fall out in one
         // call.
-        let mut attn = scratch.take(n, n);
-        let mut mixed = scratch.take(n, self.attn_dim);
+        let mut attn = scratch.take_for_overwrite(n, n);
+        let mut mixed = scratch.take_for_overwrite(n, self.attn_dim);
         be.attention_forward_fused(&q, &k, &v, 1, scale, Some(&mut attn), &mut mixed, scratch);
-        let mut output = scratch.take(n, self.wo.value.cols());
+        let mut output = scratch.take_for_overwrite(n, self.wo.value.cols());
         be.matmul_into(&mixed, &self.wo.value, &mut output);
 
         self.cache = Some(Cache {
@@ -328,16 +328,8 @@ impl Layer for SelfAttention {
         // (multi-row contributions), matching the serial per-sample
         // accumulation order bit for bit; the input-side gradient is a
         // stacked row-wise matmul (rows are independent).
-        for item in 0..b {
-            be.add_matmul_transa_blocks(
-                &mut self.wo.grad,
-                &cache.mixed,
-                grad_output.matrix(),
-                item * n,
-                n,
-            );
-        }
-        let mut grad_mixed = scratch.take(rows, self.attn_dim);
+        be.add_matmul_transa_items(&mut self.wo.grad, &cache.mixed, grad_output.matrix(), b);
+        let mut grad_mixed = scratch.take_for_overwrite(rows, self.attn_dim);
         be.matmul_into(grad_output.matrix(), &self.weights_t[3], &mut grad_mixed);
 
         // The block-diagonal attention backward is one fused backend call:
@@ -361,14 +353,11 @@ impl Layer for SelfAttention {
         );
 
         // Projection parameter gradients: one flush per item, serial order.
-        for item in 0..b {
-            let start = item * n;
-            be.add_matmul_transa_blocks(&mut self.wq.grad, &cache.input, &grad_q, start, n);
-            be.add_matmul_transa_blocks(&mut self.wk.grad, &cache.input, &grad_k, start, n);
-            be.add_matmul_transa_blocks(&mut self.wv.grad, &cache.input, &grad_v, start, n);
-        }
+        be.add_matmul_transa_items(&mut self.wq.grad, &cache.input, &grad_q, b);
+        be.add_matmul_transa_items(&mut self.wk.grad, &cache.input, &grad_k, b);
+        be.add_matmul_transa_items(&mut self.wv.grad, &cache.input, &grad_v, b);
 
-        let mut grad_input = scratch.take(rows, self.wq.value.rows());
+        let mut grad_input = scratch.take_for_overwrite(rows, self.wq.value.rows());
         be.matmul_into(&grad_q, &self.weights_t[0], &mut grad_input);
         be.add_matmul(&mut grad_input, &grad_k, &self.weights_t[1]);
         be.add_matmul(&mut grad_input, &grad_v, &self.weights_t[2]);
@@ -396,7 +385,7 @@ impl Layer for SelfAttention {
 
         // Output projection: Wo.grad += mixedᵀ·G, grad_mixed = G·Woᵀ.
         be.add_matmul_transa(&mut self.wo.grad, &cache.mixed, grad_output);
-        let mut grad_mixed = scratch.take(n, self.attn_dim);
+        let mut grad_mixed = scratch.take_for_overwrite(n, self.attn_dim);
         be.matmul_into(grad_output, &self.weights_t[3], &mut grad_mixed);
 
         // The attention stage (`dA = dM·Vᵀ`, `dV = Aᵀ·dM`, softmax backward
@@ -424,7 +413,7 @@ impl Layer for SelfAttention {
         be.add_matmul_transa(&mut self.wk.grad, &cache.input, &grad_k);
         be.add_matmul_transa(&mut self.wv.grad, &cache.input, &grad_v);
 
-        let mut grad_input = scratch.take(n, self.wq.value.rows());
+        let mut grad_input = scratch.take_for_overwrite(n, self.wq.value.rows());
         be.matmul_into(&grad_q, &self.weights_t[0], &mut grad_input);
         be.add_matmul(&mut grad_input, &grad_k, &self.weights_t[1]);
         be.add_matmul(&mut grad_input, &grad_v, &self.weights_t[2]);

@@ -53,11 +53,10 @@ impl Dense {
 impl Layer for Dense {
     fn forward(&mut self, input: &Matrix, scratch: &mut Scratch) -> Matrix {
         cache_input(&mut self.cached_input, input);
-        let mut out = scratch.take(input.rows(), self.weight.value.cols());
+        let mut out = scratch.take_for_overwrite(input.rows(), self.weight.value.cols());
         scratch
             .backend()
-            .matmul_into(input, &self.weight.value, &mut out);
-        out.add_row_inplace(&self.bias.value);
+            .affine_into(input, &self.weight.value, &self.bias.value, &mut out);
         out
     }
 
@@ -68,14 +67,16 @@ impl Layer for Dense {
         // item boundary needed. The backward cache is deliberately left
         // alone: this is the inference path.
         let be = scratch.backend();
-        let mut out = Batch::take(
-            scratch,
+        let mut out = Batch::new(
+            scratch.take_for_overwrite(input.matrix().rows(), self.weight.value.cols()),
             input.items(),
-            input.rows_per_item(),
-            self.weight.value.cols(),
         );
-        be.matmul_into(input.matrix(), &self.weight.value, out.matrix_mut());
-        out.matrix_mut().add_row_inplace(&self.bias.value);
+        be.affine_into(
+            input.matrix(),
+            &self.weight.value,
+            &self.bias.value,
+            out.matrix_mut(),
+        );
         out
     }
 
@@ -91,7 +92,8 @@ impl Layer for Dense {
             be.transpose_into(&self.weight.value, &mut self.weight_t);
             self.weight_t_valid = true;
         }
-        let mut grad_input = scratch.take(grad_output.rows(), self.weight.value.rows());
+        let mut grad_input =
+            scratch.take_for_overwrite(grad_output.rows(), self.weight.value.rows());
         be.matmul_into(grad_output, &self.weight_t, &mut grad_input);
         grad_input
     }
@@ -119,16 +121,12 @@ impl Layer for Dense {
         // bit for bit. One stacked call over single-row items would chain
         // every item's term through one accumulator, which a fused
         // multiply-add backend rounds differently from a flush per item.
-        let rows_per_item = grad_output.rows_per_item();
-        for item in 0..grad_output.items() {
-            be.add_matmul_transa_blocks(
-                &mut self.weight.grad,
-                input,
-                grad_output.matrix(),
-                item * rows_per_item,
-                rows_per_item,
-            );
-        }
+        be.add_matmul_transa_items(
+            &mut self.weight.grad,
+            input,
+            grad_output.matrix(),
+            grad_output.items(),
+        );
         // Bias gradients accumulate row by row directly into the parameter
         // (no local accumulator), so one stacked call is already the serial
         // addition sequence.
@@ -137,7 +135,8 @@ impl Layer for Dense {
             be.transpose_into(&self.weight.value, &mut self.weight_t);
             self.weight_t_valid = true;
         }
-        let mut grad_input = scratch.take(grad_output.matrix().rows(), self.weight.value.rows());
+        let mut grad_input =
+            scratch.take_for_overwrite(grad_output.matrix().rows(), self.weight.value.rows());
         be.matmul_into(grad_output.matrix(), &self.weight_t, &mut grad_input);
         Batch::new(grad_input, grad_output.items())
     }

@@ -77,6 +77,7 @@
 
 pub mod backend;
 pub mod batch;
+pub mod crew;
 pub mod init;
 pub mod layers;
 pub mod matrix;

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -184,19 +185,7 @@ impl Matrix {
             (a.rows, b.cols),
             "matmul output shape mismatch"
         );
-        let (m, kk, n) = (a.rows, a.cols, b.cols);
-        // Full 4-row blocks first (the shared-b hot path), then the ragged
-        // row tail one row at a time. Both paths are monomorphized over the
-        // block height so every accumulator tile stays in registers.
-        let mut i0 = 0;
-        while i0 + 4 <= m {
-            mm_row_block::<ACCUMULATE, 4>(&mut self.data, &a.data, &b.data, i0, kk, n);
-            i0 += 4;
-        }
-        while i0 < m {
-            mm_row_block::<ACCUMULATE, 1>(&mut self.data, &a.data, &b.data, i0, kk, n);
-            i0 += 1;
-        }
+        matmul_rows(&a.data, b, &mut self.data, ACCUMULATE);
     }
 
     /// Writes `selfᵀ * other` into `out` without materialising the transpose.
@@ -261,42 +250,7 @@ impl Matrix {
             row_start + rows,
             a.rows
         );
-        const JT: usize = 32;
-        let (r, c) = (a.cols, b.cols);
-        let krange = row_start..row_start + rows;
-        for i in 0..r {
-            let mut j0 = 0;
-            while j0 + JT <= c {
-                let mut acc = [0.0f32; JT];
-                for k in krange.clone() {
-                    let av = a.data[k * r + i];
-                    let b_tile = &b.data[k * c + j0..k * c + j0 + JT];
-                    for (o, &bv) in acc.iter_mut().zip(b_tile) {
-                        *o += av * bv;
-                    }
-                }
-                let out = &mut self.data[i * c + j0..i * c + j0 + JT];
-                for (o, &v) in out.iter_mut().zip(&acc) {
-                    *o += v;
-                }
-                j0 += JT;
-            }
-            if j0 < c {
-                let jb = c - j0;
-                let mut acc = [0.0f32; JT];
-                for k in krange.clone() {
-                    let av = a.data[k * r + i];
-                    let b_tile = &b.data[k * c + j0..k * c + j0 + jb];
-                    for (o, &bv) in acc[..jb].iter_mut().zip(b_tile) {
-                        *o += av * bv;
-                    }
-                }
-                let out = &mut self.data[i * c + j0..i * c + j0 + jb];
-                for (o, &v) in out.iter_mut().zip(&acc[..jb]) {
-                    *o += v;
-                }
-            }
-        }
+        transa_rows(&mut self.data, 0..a.cols, a, b, row_start, rows);
     }
 
     /// Writes `self * otherᵀ` into `out` without materialising the transpose.
@@ -616,6 +570,94 @@ impl Matrix {
     /// Whether the matrix has zero elements.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+}
+
+/// `out (+)= a · b` over a block of rows: `a` holds whole rows of
+/// `b.rows()` values, `out` the same rows of `b.cols()` values. Full 4-row
+/// blocks first (the shared-`b` hot path), then the ragged row tail one row
+/// at a time; both are monomorphized over the block height so every
+/// accumulator tile stays in registers. A row's results do not depend on
+/// the block it lands in, so any row range computes the bits the whole
+/// matrix would.
+pub(crate) fn matmul_rows(a: &[f32], b: &Matrix, out: &mut [f32], accumulate: bool) {
+    let (kk, n) = (b.rows, b.cols);
+    let m = out.len().checked_div(n).unwrap_or(0);
+    debug_assert!(n == 0 || (a.len() == m * kk && out.len() == m * n));
+    if accumulate {
+        mm_rows::<true>(out, a, &b.data, m, kk, n);
+    } else {
+        mm_rows::<false>(out, a, &b.data, m, kk, n);
+    }
+}
+
+fn mm_rows<const ACCUMULATE: bool>(
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    kk: usize,
+    n: usize,
+) {
+    let mut i0 = 0;
+    while i0 + 4 <= m {
+        mm_row_block::<ACCUMULATE, 4>(out, a, b, i0, kk, n);
+        i0 += 4;
+    }
+    while i0 < m {
+        mm_row_block::<ACCUMULATE, 1>(out, a, b, i0, kk, n);
+        i0 += 1;
+    }
+}
+
+/// Output rows `out_rows` of `out += a[rows]ᵀ · b[rows]` over the row block
+/// `row_start .. row_start + rows` of `a` and `b`; `out` holds exactly those
+/// output rows (`b.cols()` values each). Each output element sums the
+/// block's terms from zero in ascending row order in a local tile and is
+/// added into `out` once, so the rows of any range get the bits the whole
+/// output would.
+pub(crate) fn transa_rows(
+    out: &mut [f32],
+    out_rows: Range<usize>,
+    a: &Matrix,
+    b: &Matrix,
+    row_start: usize,
+    rows: usize,
+) {
+    const JT: usize = 32;
+    let (r, c) = (a.cols, b.cols);
+    debug_assert_eq!(out.len(), out_rows.len() * c);
+    let krange = row_start..row_start + rows;
+    for (o_row, i) in out.chunks_exact_mut(c.max(1)).zip(out_rows) {
+        let mut j0 = 0;
+        while j0 + JT <= c {
+            let mut acc = [0.0f32; JT];
+            for k in krange.clone() {
+                let av = a.data[k * r + i];
+                let b_tile = &b.data[k * c + j0..k * c + j0 + JT];
+                for (o, &bv) in acc.iter_mut().zip(b_tile) {
+                    *o += av * bv;
+                }
+            }
+            for (o, &v) in o_row[j0..j0 + JT].iter_mut().zip(&acc) {
+                *o += v;
+            }
+            j0 += JT;
+        }
+        if j0 < c {
+            let jb = c - j0;
+            let mut acc = [0.0f32; JT];
+            for k in krange.clone() {
+                let av = a.data[k * r + i];
+                let b_tile = &b.data[k * c + j0..k * c + j0 + jb];
+                for (o, &bv) in acc[..jb].iter_mut().zip(b_tile) {
+                    *o += av * bv;
+                }
+            }
+            for (o, &v) in o_row[j0..].iter_mut().zip(&acc[..jb]) {
+                *o += v;
+            }
+        }
     }
 }
 

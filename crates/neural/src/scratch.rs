@@ -62,6 +62,18 @@ impl Scratch {
     /// Returns a zero-filled `rows x cols` matrix, reusing a pooled buffer
     /// when one with sufficient capacity exists.
     pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
+        self.take_with(rows, cols, true)
+    }
+
+    /// Like [`Scratch::take`], for an output the caller's kernel then
+    /// overwrites in full: a reused buffer keeps its old values instead of
+    /// being zeroed first (only growth is zero-filled), so the matrix holds
+    /// unspecified values until written.
+    pub fn take_for_overwrite(&mut self, rows: usize, cols: usize) -> Matrix {
+        self.take_with(rows, cols, false)
+    }
+
+    fn take_with(&mut self, rows: usize, cols: usize, zeroed: bool) -> Matrix {
         let len = rows * cols;
         if len == 0 {
             // Don't tie a pooled buffer up in an empty matrix.
@@ -75,14 +87,18 @@ impl Scratch {
             // mixed-size traffic converges to a reusable set after warm-up.
             None => self.pool.pop().unwrap_or_default(),
         };
-        data.clear();
+        if zeroed {
+            data.clear();
+        }
+        // Growth is zero-filled; without `zeroed`, a long enough buffer is
+        // only shortened.
         data.resize(len, 0.0);
         Matrix::from_vec(rows, cols, data)
     }
 
     /// Returns a pooled copy of `src`.
     pub fn take_copy(&mut self, src: &Matrix) -> Matrix {
-        let mut out = self.take(src.rows(), src.cols());
+        let mut out = self.take_for_overwrite(src.rows(), src.cols());
         out.data_mut().copy_from_slice(src.data());
         out
     }
@@ -132,6 +148,22 @@ mod tests {
         let third = scratch.take(2, 2);
         assert_eq!(third.data().as_ptr(), ptr);
         assert_eq!(scratch.pooled(), 0);
+    }
+
+    #[test]
+    fn take_for_overwrite_reuses_without_zeroing() {
+        let mut scratch = Scratch::new();
+        let mut m = scratch.take(2, 3);
+        m.fill(5.0);
+        let ptr = m.data().as_ptr();
+        scratch.recycle(m);
+        let reused = scratch.take_for_overwrite(1, 4);
+        assert_eq!(reused.shape(), (1, 4));
+        assert_eq!(reused.data().as_ptr(), ptr);
+        assert_eq!(reused.data(), &[5.0; 4]);
+        // Growth past the old length is zero-filled.
+        scratch.recycle(reused);
+        assert_eq!(scratch.take_for_overwrite(2, 4).data()[6..], [0.0; 2]);
     }
 
     #[test]

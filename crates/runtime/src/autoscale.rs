@@ -106,14 +106,15 @@ pub fn detected_cores() -> usize {
 /// Plans the engine for a workload using detected cores and the
 /// `ACSO_THREADS` / `ACSO_BATCH` environment overrides. Deterministic given
 /// the same shape, machine and environment — see [`plan_with`] for the pure
-/// core.
+/// core. On a fan-out's worker, where nested fan-outs run inline, the plan
+/// has one thread.
 pub fn plan(shape: &WorkloadShape) -> AutoscalePlan {
-    plan_with(
-        shape,
-        detected_cores(),
-        crate::threads_override(),
-        crate::batch_lanes(),
-    )
+    let (cores, threads) = if crate::on_pool_worker() {
+        (1, None)
+    } else {
+        (detected_cores(), crate::threads_override())
+    };
+    plan_with(shape, cores, threads, crate::batch_lanes())
 }
 
 /// The pure planning function: no environment reads, no machine probes.

@@ -14,6 +14,14 @@
 //! be pinned with the `ACSO_THREADS` environment variable (see
 //! [`available_threads`]). No external dependencies: the pool is
 //! `std::thread::scope` plus an `AtomicUsize`.
+//!
+//! **Nested fan-outs run inline.** A worker of a fan-out already holds one
+//! of the threads the outer fan-out sized itself to, so on a worker
+//! [`available_threads`] is 1 and a nested [`run_indexed`] fan-out runs its
+//! tasks on the worker itself: a grid-search cell that trains an agent, fits
+//! a DBN or evaluates on a worker neither multiplies threads nor changes a
+//! result. The DQN update's crew takes its width from
+//! [`available_threads`], so an update on a worker runs alone too.
 
 #![warn(missing_docs)]
 
@@ -24,16 +32,33 @@ pub use autoscale::{
     LOCKSTEP_ACTION_THRESHOLD, LOCKSTEP_NODE_THRESHOLD, MAX_AUTO_LANES,
 };
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
+
+thread_local! {
+    /// Whether this thread is a worker of a [`run_indexed_with_stats`]
+    /// fan-out.
+    static POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a worker of a fan-out, where nested
+/// fan-outs run inline (see the crate docs).
+pub fn on_pool_worker() -> bool {
+    POOL_WORKER.get()
+}
 
 /// Environment variable that pins the worker-thread count (`0`, empty or
 /// unparsable values fall back to the detected parallelism).
 pub const THREADS_ENV_VAR: &str = "ACSO_THREADS";
 
-/// Number of worker threads to use: `ACSO_THREADS` if set to a positive
+/// Number of worker threads to use: 1 on a fan-out's worker (see
+/// [`on_pool_worker`]), otherwise `ACSO_THREADS` if set to a positive
 /// integer, otherwise [`std::thread::available_parallelism`] (1 if unknown).
 pub fn available_threads() -> usize {
+    if on_pool_worker() {
+        return 1;
+    }
     threads_from(std::env::var(THREADS_ENV_VAR).ok().as_deref())
 }
 
@@ -182,8 +207,9 @@ where
 /// across all tasks the worker executes.
 ///
 /// `init` runs once per worker *on that worker's thread*, so the state does
-/// not need to be `Send`. With `threads <= 1` (or a single task) everything
-/// runs inline on the calling thread in index order.
+/// not need to be `Send`. With `threads <= 1`, a single task, or a caller
+/// that is itself a fan-out's worker, everything runs inline on the calling
+/// thread in index order.
 pub fn run_indexed_with<W, T, I, F>(tasks: usize, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
@@ -208,7 +234,11 @@ where
     I: Fn() -> W + Sync,
     F: Fn(&mut W, usize) -> T + Sync,
 {
-    let threads = threads.max(1).min(tasks.max(1));
+    let threads = if on_pool_worker() {
+        1
+    } else {
+        threads.max(1).min(tasks.max(1))
+    };
     if threads <= 1 {
         let mut worker = init();
         let results = (0..tasks).map(|i| f(&mut worker, i)).collect();
@@ -227,6 +257,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    POOL_WORKER.set(true);
                     let mut worker = init();
                     let mut produced = Vec::new();
                     loop {
@@ -375,6 +406,29 @@ mod tests {
             tasks_per_worker: vec![10, 0],
         };
         assert!((lopsided.utilization() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nested_fan_outs_run_inline_on_the_worker() {
+        let (nested, _) = run_indexed_with_stats(
+            2,
+            2,
+            || (),
+            |(), _| {
+                let worker = std::thread::current().id();
+                let (ran_on, stats) =
+                    run_indexed_with_stats(3, 2, || (), |(), i| (i, std::thread::current().id()));
+                assert!(ran_on.iter().all(|(_, id)| *id == worker));
+                (stats, available_threads(), on_pool_worker())
+            },
+        );
+        for (stats, threads, on_worker) in nested {
+            assert_eq!(stats.workers, 1);
+            assert_eq!(stats.tasks_per_worker, vec![3]);
+            assert_eq!(threads, 1);
+            assert!(on_worker);
+        }
+        assert!(!on_pool_worker());
     }
 
     #[test]

@@ -43,6 +43,19 @@ pub const SERVE_LANES_ENV_VAR: &str = "ACSO_SERVE_LANES";
 /// [`ServiceConfig::fixed`] transcript configuration runs with.
 pub const DEFAULT_LANES: usize = 8;
 
+/// Largest `episodes` one `evaluate` may ask for; larger counts are refused
+/// with `limit_exceeded` (an unbounded count sized one allocation per
+/// episode and could abort the process).
+const MAX_EVAL_EPISODES: u64 = 100_000;
+
+/// Largest `max_time` horizon, in hours, a request may set: twenty times the
+/// longest built-in horizon (`paper-full`'s 5 000 h).
+const MAX_HORIZON_HOURS: u64 = 100_000;
+
+/// Largest `train_episodes` and `dbn_episodes` one `load_policy` may ask
+/// for.
+const MAX_FIT_EPISODES: u64 = 100_000;
+
 /// How the service runs: lane width, rollout threads, and whether time is
 /// pinned for byte-deterministic output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -510,6 +523,25 @@ impl EvalService {
         Ok(sim)
     }
 
+    /// The optional integer parameter `name`, refused with
+    /// `limit_exceeded` above `limit`. A missing or non-integer value reads
+    /// as absent.
+    fn bounded(
+        &mut self,
+        request: &Request,
+        name: &str,
+        limit: u64,
+    ) -> Result<Option<u64>, JsonValue> {
+        match request.params.get(name).and_then(|v| v.as_u64()) {
+            Some(value) if value > limit => Err(self.fail(
+                &request.id,
+                "limit_exceeded",
+                &format!("`{name}` is {value}, above the limit of {limit}"),
+            )),
+            value => Ok(value),
+        }
+    }
+
     fn load_policy(&mut self, request: &Request) -> JsonValue {
         let params = &request.params;
         let Some(kind) = params.get("policy").and_then(|p| p.as_str()) else {
@@ -525,15 +557,21 @@ impl EvalService {
             .and_then(|s| s.as_str())
             .unwrap_or("tiny")
             .to_string();
-        let max_time = params.get("max_time").and_then(|v| v.as_u64());
-        let train_episodes = params
-            .get("train_episodes")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(1) as usize;
-        let dbn_episodes = params
-            .get("dbn_episodes")
-            .and_then(|v| v.as_u64())
-            .unwrap_or(2) as usize;
+        let sizes = (|| {
+            Ok((
+                self.bounded(request, "max_time", MAX_HORIZON_HOURS)?,
+                self.bounded(request, "train_episodes", MAX_FIT_EPISODES)?,
+                self.bounded(request, "dbn_episodes", MAX_FIT_EPISODES)?,
+            ))
+        })();
+        let (max_time, train_episodes, dbn_episodes) = match sizes {
+            Ok((max_time, train, dbn)) => (
+                max_time,
+                train.unwrap_or(1) as usize,
+                dbn.unwrap_or(2) as usize,
+            ),
+            Err(response) => return response,
+        };
         let seed = params.get("seed").and_then(|v| v.as_u64()).unwrap_or(0);
         let weights = params
             .get("weights")
@@ -699,8 +737,9 @@ impl EvalService {
                 "`episodes` must be a positive integer",
             ));
         }
+        self.bounded(request, "episodes", MAX_EVAL_EPISODES)?;
+        let max_time = self.bounded(request, "max_time", MAX_HORIZON_HOURS)?;
         let seed = params.get("seed").and_then(|v| v.as_u64()).unwrap_or(0);
-        let max_time = params.get("max_time").and_then(|v| v.as_u64());
         let transcripts = params
             .get("transcripts")
             .and_then(|t| t.as_bool())

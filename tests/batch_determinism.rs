@@ -76,7 +76,6 @@ fn batched_transcripts_match_serial_for_every_scenario_and_policy() {
             agent: acso_core::agent::AgentConfig::smoke(),
             episodes: 1,
             dbn_episodes: 2,
-            dbn_threads: None,
             seed: 0,
         });
         let mut agent = trained.agent;

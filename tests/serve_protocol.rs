@@ -171,6 +171,33 @@ fn documented_error_codes_are_produced_on_the_wire() {
         ),
         "weights_error"
     );
+    // Sizes past the limits are refused before anything is sized by them
+    // (2^53 episodes once aborted the process on an allocation).
+    assert_eq!(
+        code_of(
+            &mut service,
+            r#"{"id":1,"method":"load_policy","params":{"policy":"playbook","dbn_episodes":9007199254740992}}"#
+        ),
+        "limit_exceeded"
+    );
+    let loaded =
+        service.handle_line(r#"{"id":1,"method":"load_policy","params":{"policy":"playbook"}}"#);
+    let loaded = JsonValue::parse(&loaded).unwrap();
+    let handle = loaded
+        .get("result")
+        .and_then(|r| r.get("handle"))
+        .and_then(JsonValue::as_str)
+        .unwrap()
+        .to_string();
+    for sizes in [
+        r#""episodes":9007199254740992,"max_time":10"#,
+        r#""episodes":1,"max_time":9007199254740992"#,
+    ] {
+        let line = format!(
+            r#"{{"id":1,"method":"evaluate","params":{{"handle":"{handle}","scenario":"tiny",{sizes}}}}}"#
+        );
+        assert_eq!(code_of(&mut service, &line), "limit_exceeded", "{line}");
+    }
     assert_eq!(
         code_of(&mut service, r#"{"id":1,"method":"snapshot"}"#),
         "state_error"
