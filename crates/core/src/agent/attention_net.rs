@@ -183,10 +183,9 @@ impl AttentionQNet {
         g.plan(features, train);
         let m = g.node.width;
         let head_in = CTX_DIM + PLC_SUMMARY_DIM;
-        let s = &mut self.scratch;
 
         // Shared per-node embedding over every state's group rows at once.
-        let mut x = Batch::take(s, b, m, NODE_FEATURE_DIM);
+        let mut x = Batch::take(&mut self.scratch, b, m, NODE_FEATURE_DIM);
         for (i, f) in features.iter().enumerate() {
             for (row, node) in g.node.sources(i) {
                 x.matrix_mut()
@@ -194,18 +193,8 @@ impl AttentionQNet {
                     .copy_from_slice(f.nodes.row(node));
             }
         }
-        let y = fwd(&mut self.embed1, &x, s, train);
-        s.recycle(x.into_matrix());
-        let x = fwd(&mut self.embed_act1, &y, s, train);
-        s.recycle(y.into_matrix());
-        let y = fwd(&mut self.embed2, &x, s, train);
-        s.recycle(x.into_matrix());
-        let x = fwd(&mut self.embed_act2, &y, s, train);
-        s.recycle(y.into_matrix());
-        let y = fwd(&mut self.embed3, &x, s, train);
-        s.recycle(x.into_matrix());
-        let e = fwd(&mut self.embed_act3, &y, s, train);
-        s.recycle(y.into_matrix());
+        let e = self.embed(x, train);
+        let s = &mut self.scratch;
 
         // Global attention within each state (per-item boundary) over all
         // of the state's nodes.
@@ -355,6 +344,51 @@ impl AttentionQNet {
         }
         self.groups = g;
         out
+    }
+}
+
+impl AttentionQNet {
+    /// The shared per-node embedding MLP over `x` (recycled): inference, or
+    /// with `train` the training forward that writes each layer's cache.
+    fn embed(&mut self, x: Batch, train: bool) -> Batch {
+        let s = &mut self.scratch;
+        let layers: [&mut dyn Layer; 6] = [
+            &mut self.embed1,
+            &mut self.embed_act1,
+            &mut self.embed2,
+            &mut self.embed_act2,
+            &mut self.embed3,
+            &mut self.embed_act3,
+        ];
+        let mut x = x;
+        for layer in layers {
+            let y = fwd(layer, &x, s, train);
+            s.recycle(std::mem::replace(&mut x, y).into_matrix());
+        }
+        x
+    }
+
+    /// Backpropagates the context gradient of every node row (recycled)
+    /// through both attention layers and the embedding MLP, from the caches
+    /// of their training forward.
+    fn backward_trunk(&mut self, grad_ctx: Batch) {
+        let s = &mut self.scratch;
+        let layers: [&mut dyn Layer; 8] = [
+            &mut self.attn2,
+            &mut self.attn1,
+            &mut self.embed_act3,
+            &mut self.embed3,
+            &mut self.embed_act2,
+            &mut self.embed2,
+            &mut self.embed_act1,
+            &mut self.embed1,
+        ];
+        let mut grad = grad_ctx;
+        for layer in layers {
+            let g = layer.backward_batch(&grad, s);
+            s.recycle(std::mem::replace(&mut grad, g).into_matrix());
+        }
+        s.recycle(grad.into_matrix());
     }
 }
 
@@ -585,30 +619,6 @@ impl Head {
             dense2: Dense::new(HEAD_HIDDEN, output, seed.wrapping_add(1)),
             out: Activation::tanh(),
         }
-    }
-
-    /// The solo forward, caching for [`Head::backward`].
-    fn forward(&mut self, input: &Matrix, s: &mut Scratch) -> Matrix {
-        let x = self.dense1.forward(input, s);
-        let y = self.act.forward(&x, s);
-        s.recycle(x);
-        let x = self.dense2.forward(&y, s);
-        s.recycle(y);
-        let q = self.out.forward(&x, s);
-        s.recycle(x);
-        q
-    }
-
-    /// The solo backward, returning the gradient on the head input.
-    fn backward(&mut self, grad: &Matrix, s: &mut Scratch) -> Matrix {
-        let x = self.out.backward(grad, s);
-        let y = self.dense2.backward(&x, s);
-        s.recycle(x);
-        let x = self.act.backward(&y, s);
-        s.recycle(y);
-        let g = self.dense1.backward(&x, s);
-        s.recycle(x);
-        g
     }
 
     /// The batched forward; `train` selects the cache-writing layer path
@@ -848,50 +858,27 @@ impl QNetwork for AttentionQNet {
         }
         s.recycle(grad_mean_ctx);
 
-        // Attention and embedding backward, batch-first all the way down.
-        let x = self.attn2.backward_batch(&grad_ctx, s);
-        s.recycle(grad_ctx.into_matrix());
-        let y = self.attn1.backward_batch(&x, s);
-        s.recycle(x.into_matrix());
-        let x = self.embed_act3.backward_batch(&y, s);
-        s.recycle(y.into_matrix());
-        let y = self.embed3.backward_batch(&x, s);
-        s.recycle(x.into_matrix());
-        let x = self.embed_act2.backward_batch(&y, s);
-        s.recycle(y.into_matrix());
-        let y = self.embed2.backward_batch(&x, s);
-        s.recycle(x.into_matrix());
-        let x = self.embed_act1.backward_batch(&y, s);
-        s.recycle(y.into_matrix());
-        let y = self.embed1.backward_batch(&x, s);
-        s.recycle(x.into_matrix());
-        s.recycle(y.into_matrix());
+        self.backward_trunk(grad_ctx);
         self.batch_cache = Some(cache);
     }
 
+    /// The solo training forward, the oracle of the batched pair: every
+    /// layer runs its training forward on one state as a one-item batch,
+    /// each head over all of its rows, feeding [`AttentionQNet::backward`].
     fn q_values(&mut self, features: &StateFeatures) -> Vec<f32> {
         let n = features.node_count();
         let p = features.plc_count();
+
+        // Shared per-node embedding, the state as a one-item batch.
+        let x = Batch::new(self.scratch.take_copy(&features.nodes), 1);
+        let e = self.embed(x, true);
         let s = &mut self.scratch;
 
-        // Shared per-node embedding.
-        let x = self.embed1.forward(&features.nodes, s);
-        let y = self.embed_act1.forward(&x, s);
-        s.recycle(x);
-        let x = self.embed2.forward(&y, s);
-        s.recycle(y);
-        let y = self.embed_act2.forward(&x, s);
-        s.recycle(x);
-        let x = self.embed3.forward(&y, s);
-        s.recycle(y);
-        let e = self.embed_act3.forward(&x, s);
-        s.recycle(x);
-
         // Global attention over node embeddings.
-        let x = self.attn1.forward(&e, s);
-        s.recycle(e);
-        let ctx = self.attn2.forward(&x, s);
-        s.recycle(x);
+        let x = fwd(&mut self.attn1, &e, s, true);
+        s.recycle(e.into_matrix());
+        let ctx = fwd(&mut self.attn2, &x, s, true).into_matrix();
+        s.recycle(x.into_matrix());
         let mut mean_ctx = s.take(1, CTX_DIM);
         ctx.mean_rows_into(&mut mean_ctx);
 
@@ -906,9 +893,10 @@ impl QNetwork for AttentionQNet {
             }
             let mut input = s.take(rows.len(), h.cols());
             h.select_rows_into(rows, &mut input);
-            let q = head.forward(&input, s);
-            s.recycle(input);
-            q
+            let input = Batch::new(input, 1);
+            let q = head.forward_batch(&input, s, true);
+            s.recycle(input.into_matrix());
+            q.into_matrix()
         };
         let q_host = node_head(&mut self.host_head, &features.host_rows, s);
         let q_server = node_head(&mut self.server_head, &features.server_rows, s);
@@ -917,8 +905,10 @@ impl QNetwork for AttentionQNet {
         // No-action value from the pooled context.
         let mut noact_in = s.take(1, CTX_DIM + PLC_SUMMARY_DIM);
         hcat_broadcast_into(&mean_ctx, &features.plc_summary, &mut noact_in);
-        let q_noact = self.noact_head.forward(&noact_in, s);
-        s.recycle(noact_in);
+        let noact_in = Batch::new(noact_in, 1);
+        let q_noact = self.noact_head.forward_batch(&noact_in, s, true);
+        s.recycle(noact_in.into_matrix());
+        let q_noact = q_noact.into_matrix();
 
         // PLC head: per-PLC status one-hot + pooled context (broadcast).
         let q_plc = if p == 0 {
@@ -926,9 +916,10 @@ impl QNetwork for AttentionQNet {
         } else {
             let mut plc_in = s.take(p, PLC_FEATURE_DIM + CTX_DIM);
             hcat_broadcast_into(&features.plcs, &mean_ctx, &mut plc_in);
-            let q = self.plc_head.forward(&plc_in, s);
-            s.recycle(plc_in);
-            q
+            let plc_in = Batch::new(plc_in, 1);
+            let q = self.plc_head.forward_batch(&plc_in, s, true);
+            s.recycle(plc_in.into_matrix());
+            q.into_matrix()
         };
         s.recycle(mean_ctx);
 
@@ -999,26 +990,24 @@ impl QNetwork for AttentionQNet {
                 grad.row_mut(row)
                     .copy_from_slice(&grad_q[base..base + ACTIONS_PER_NODE]);
             }
-            let g = head.backward(&grad, s);
-            s.recycle(grad);
+            let g = head.backward_batch(Batch::new(grad, 1), s);
             for (row, node) in rows.iter().enumerate() {
-                for (d, &v) in grad_h.row_mut(*node).iter_mut().zip(g.row(row)) {
+                for (d, &v) in grad_h.row_mut(*node).iter_mut().zip(g.matrix().row(row)) {
                     *d += v;
                 }
             }
-            s.recycle(g);
+            s.recycle(g.into_matrix());
         }
 
         // No-action head -> gradient on the pooled context.
         let mut grad_noact = s.take(1, 1);
         grad_noact.row_mut(0)[0] = grad_q[0];
-        let grad_noact_in = self.noact_head.backward(&grad_noact, s);
-        s.recycle(grad_noact);
+        let grad_noact_in = self.noact_head.backward_batch(Batch::new(grad_noact, 1), s);
         let mut grad_mean_ctx = s.take(1, CTX_DIM);
         grad_mean_ctx
             .row_mut(0)
-            .copy_from_slice(&grad_noact_in.row(0)[..CTX_DIM]);
-        s.recycle(grad_noact_in);
+            .copy_from_slice(&grad_noact_in.matrix().row(0)[..CTX_DIM]);
+        s.recycle(grad_noact_in.into_matrix());
 
         // PLC head -> more gradient on the pooled context.
         if p > 0 {
@@ -1030,23 +1019,22 @@ impl QNetwork for AttentionQNet {
                     .row_mut(plc)
                     .copy_from_slice(&grad_q[base..base + ACTIONS_PER_PLC]);
             }
-            let grad_plc_in = self.plc_head.backward(&grad_plc, s);
-            s.recycle(grad_plc);
+            let grad_plc_in = self.plc_head.backward_batch(Batch::new(grad_plc, 1), s);
             for i in 0..p {
-                let src = &grad_plc_in.row(i)[PLC_FEATURE_DIM..];
+                let src = &grad_plc_in.matrix().row(i)[PLC_FEATURE_DIM..];
                 for (d, &v) in grad_mean_ctx.row_mut(0).iter_mut().zip(src) {
                     *d += v;
                 }
             }
-            s.recycle(grad_plc_in);
+            s.recycle(grad_plc_in.into_matrix());
         }
 
         // Context gradient: the per-node head slice plus 1/n of the pooled
         // gradient (mean-pooling backward).
-        let mut grad_ctx = s.take(n, CTX_DIM);
+        let mut grad_ctx = Batch::take(s, 1, n, CTX_DIM);
         let inv_n = 1.0 / n.max(1) as f32;
         for i in 0..n {
-            let dst = grad_ctx.row_mut(i);
+            let dst = grad_ctx.matrix_mut().row_mut(i);
             dst.copy_from_slice(&grad_h.row(i)[..CTX_DIM]);
             for (d, &g) in dst.iter_mut().zip(grad_mean_ctx.row(0)) {
                 *d += g * inv_n;
@@ -1055,24 +1043,7 @@ impl QNetwork for AttentionQNet {
         s.recycle(grad_h);
         s.recycle(grad_mean_ctx);
 
-        // Attention and embedding backward.
-        let x = self.attn2.backward(&grad_ctx, s);
-        s.recycle(grad_ctx);
-        let y = self.attn1.backward(&x, s);
-        s.recycle(x);
-        let x = self.embed_act3.backward(&y, s);
-        s.recycle(y);
-        let y = self.embed3.backward(&x, s);
-        s.recycle(x);
-        let x = self.embed_act2.backward(&y, s);
-        s.recycle(y);
-        let y = self.embed2.backward(&x, s);
-        s.recycle(x);
-        let x = self.embed_act1.backward(&y, s);
-        s.recycle(y);
-        let y = self.embed1.backward(&x, s);
-        s.recycle(x);
-        s.recycle(y);
+        self.backward_trunk(grad_ctx);
         self.cache = Some(cache);
     }
 

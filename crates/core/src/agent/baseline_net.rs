@@ -88,51 +88,14 @@ impl BaselineConvQNet {
         dst[at..].fill(0.0);
     }
 
-    /// Backward through the MLP for the one-row gradient of the most recent
-    /// cached solo forward.
-    fn backward_row(&mut self, grad: Matrix) {
-        let s = &mut self.scratch;
-        let x = self.out.backward(&grad, s);
-        s.recycle(grad);
-        let y = self.fc3.backward(&x, s);
-        s.recycle(x);
-        let x = self.act2.backward(&y, s);
-        s.recycle(y);
-        let y = self.fc2.backward(&x, s);
-        s.recycle(x);
-        let x = self.act1.backward(&y, s);
-        s.recycle(y);
-        let y = self.fc1.backward(&x, s);
-        s.recycle(x);
-        s.recycle(y);
-    }
-
-    /// Runs the MLP over a pre-flattened `[batch, input_dim]` matrix.
-    fn forward_rows(&mut self, x: Matrix) -> Matrix {
-        let s = &mut self.scratch;
-        let y = self.fc1.forward(&x, s);
-        s.recycle(x);
-        let x = self.act1.forward(&y, s);
-        s.recycle(y);
-        let y = self.fc2.forward(&x, s);
-        s.recycle(x);
-        let x = self.act2.forward(&y, s);
-        s.recycle(y);
-        let y = self.fc3.forward(&x, s);
-        s.recycle(x);
-        let q = self.out.forward(&y, s);
-        s.recycle(y);
-        q
-    }
-}
-
-impl QNetwork for BaselineConvQNet {
-    /// Batched inference: all states are flattened into one `[batch,
-    /// input_dim]` matrix and pushed through a single matmul chain — 64
-    /// states cost one matmul chain rather than 64 single-row passes. Runs
-    /// through the layers' `forward_batch` path, so each state's values are
-    /// bit-identical to a solo [`BaselineConvQNet::q_values`] call and the
-    /// training cache is left untouched.
+    /// Shared core of [`QNetwork::q_values_batch`] (`train = false`:
+    /// inference, no cache touched) and [`QNetwork::q_values_batch_train`]
+    /// (`train = true`: every layer writes its batch cache). All states are
+    /// flattened into one `[batch, input_dim]` matrix, one single-row item
+    /// per state, and pushed through one layer chain: 64 states cost one
+    /// matmul chain rather than 64 single-row passes. Every layer is
+    /// row-wise, so each state's values are bit-identical to a one-state
+    /// batch.
     ///
     /// # Panics
     ///
@@ -140,7 +103,7 @@ impl QNetwork for BaselineConvQNet {
     /// network's fixed input (the flattened baseline is built for one
     /// topology; silently zero-padding a smaller state would produce
     /// plausible-looking Q-values for the wrong action space).
-    fn q_values_batch(&mut self, features: &[&StateFeatures]) -> Vec<Vec<f32>> {
+    fn q_values_batch_impl(&mut self, features: &[&StateFeatures], train: bool) -> Vec<Vec<f32>> {
         if features.is_empty() {
             return Vec::new();
         }
@@ -156,34 +119,45 @@ impl QNetwork for BaselineConvQNet {
             self.flatten_into(f, x.matrix_mut(), row);
         }
         let s = &mut self.scratch;
-        let y = self.fc1.forward_batch(&x, s);
-        s.recycle(x.into_matrix());
-        let x = self.act1.forward_batch(&y, s);
-        s.recycle(y.into_matrix());
-        let y = self.fc2.forward_batch(&x, s);
-        s.recycle(x.into_matrix());
-        let x = self.act2.forward_batch(&y, s);
-        s.recycle(y.into_matrix());
-        let y = self.fc3.forward_batch(&x, s);
-        s.recycle(x.into_matrix());
-        let q = self.out.forward_batch(&y, s);
-        s.recycle(y.into_matrix());
+        let layers: [&mut dyn Layer; 6] = [
+            &mut self.fc1,
+            &mut self.act1,
+            &mut self.fc2,
+            &mut self.act2,
+            &mut self.fc3,
+            &mut self.out,
+        ];
+        for layer in layers {
+            let y = if train {
+                layer.forward_batch_train(&x, s)
+            } else {
+                layer.forward_batch(&x, s)
+            };
+            s.recycle(std::mem::replace(&mut x, y).into_matrix());
+        }
         let out = (0..features.len())
-            .map(|i| q.matrix().row(i).to_vec())
+            .map(|i| x.matrix().row(i).to_vec())
             .collect();
-        s.recycle(q.into_matrix());
+        s.recycle(x.into_matrix());
         out
     }
+}
 
-    /// Cached single-state forward: the training path, whose intermediates
-    /// feed [`BaselineConvQNet::backward`].
+impl QNetwork for BaselineConvQNet {
+    /// Batched inference through the layers' `forward_batch` path (see
+    /// `q_values_batch_impl`): each state's values are bit-identical to a
+    /// solo [`BaselineConvQNet::q_values`] call and the training cache is
+    /// left untouched.
+    fn q_values_batch(&mut self, features: &[&StateFeatures]) -> Vec<Vec<f32>> {
+        self.q_values_batch_impl(features, false)
+    }
+
+    /// Cached single-state forward: the training pass on a one-state batch,
+    /// whose cache feeds [`BaselineConvQNet::backward`].
     fn q_values(&mut self, features: &StateFeatures) -> Vec<f32> {
-        let mut x = self.scratch.take(1, self.input_dim);
-        self.flatten_into(features, &mut x, 0);
-        let q = self.forward_rows(x);
-        let out = q.row(0).to_vec();
-        self.scratch.recycle(q);
-        out
+        self.q_values_batch_impl(&[features], true)
+            .pop()
+            .expect("a batch of one state yields one Q-vector")
     }
 
     fn backward(&mut self, grad_q: &[f32]) {
@@ -192,35 +166,17 @@ impl QNetwork for BaselineConvQNet {
             self.action_space.len(),
             "gradient length mismatch"
         );
-        let mut grad = self.scratch.take(1, grad_q.len());
+        let mut grad = self.scratch.take_for_overwrite(1, grad_q.len());
         grad.row_mut(0).copy_from_slice(grad_q);
-        self.backward_row(grad);
+        self.backward_batch(&grad);
+        self.scratch.recycle(grad);
     }
 
-    /// The batched training path: every layer of the MLP is row-wise, so the
-    /// whole minibatch runs through the *cached* solo forward on one
-    /// `[batch, input_dim]` stacked matrix — per-state values bit-identical
-    /// to solo calls, and the cached inputs are exactly the stacked batch
-    /// caches [`BaselineConvQNet::backward_batch`] consumes.
+    /// The batched training forward: the same chain as
+    /// [`BaselineConvQNet::q_values_batch`], every layer writing the batch
+    /// cache [`BaselineConvQNet::backward_batch`] consumes.
     fn q_values_batch_train(&mut self, features: &[&StateFeatures]) -> Vec<Vec<f32>> {
-        if features.is_empty() {
-            return Vec::new();
-        }
-        for f in features {
-            let flattened = f.nodes.len() + f.plcs.len() + f.plc_summary.len();
-            assert_eq!(
-                flattened, self.input_dim,
-                "batched states must match the network's topology"
-            );
-        }
-        let mut x = self.scratch.take(features.len(), self.input_dim);
-        for (row, f) in features.iter().enumerate() {
-            self.flatten_into(f, &mut x, row);
-        }
-        let q = self.forward_rows(x);
-        let out = (0..features.len()).map(|i| q.row(i).to_vec()).collect();
-        self.scratch.recycle(q);
-        out
+        self.q_values_batch_impl(features, true)
     }
 
     /// One stacked backward per layer for the whole minibatch, each state a
@@ -235,20 +191,20 @@ impl QNetwork for BaselineConvQNet {
             "gradient width mismatch"
         );
         let s = &mut self.scratch;
-        let grad = Batch::new(s.take_copy(grad_q), grad_q.rows());
-        let x = self.out.backward_batch(&grad, s);
+        let mut grad = Batch::new(s.take_copy(grad_q), grad_q.rows());
+        let layers: [&mut dyn Layer; 6] = [
+            &mut self.out,
+            &mut self.fc3,
+            &mut self.act2,
+            &mut self.fc2,
+            &mut self.act1,
+            &mut self.fc1,
+        ];
+        for layer in layers {
+            let g = layer.backward_batch(&grad, s);
+            s.recycle(std::mem::replace(&mut grad, g).into_matrix());
+        }
         s.recycle(grad.into_matrix());
-        let y = self.fc3.backward_batch(&x, s);
-        s.recycle(x.into_matrix());
-        let x = self.act2.backward_batch(&y, s);
-        s.recycle(y.into_matrix());
-        let y = self.fc2.backward_batch(&x, s);
-        s.recycle(x.into_matrix());
-        let x = self.act1.backward_batch(&y, s);
-        s.recycle(y.into_matrix());
-        let y = self.fc1.backward_batch(&x, s);
-        s.recycle(x.into_matrix());
-        s.recycle(y.into_matrix());
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

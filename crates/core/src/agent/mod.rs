@@ -76,11 +76,13 @@ pub trait QNetwork: Send {
     /// State `i`'s values are **bit-identical** to a solo
     /// [`QNetwork::q_values`] call on state `i` (the same contract as
     /// [`QNetwork::q_values_batch`]), but unlike the inference path this
-    /// call *does* overwrite the training cache — it replaces a loop of
-    /// cached solo forwards, not interleave with one. What it caches is up
-    /// to the network: it may keep a stage's inputs instead of its
-    /// intermediates and let the backward re-run that stage on the rows the
-    /// gradient reaches, as the attention net does for its output heads.
+    /// call *does* overwrite the training cache. The layers hold one cache
+    /// each, shared with the solo [`QNetwork::q_values`], so this call
+    /// replaces a loop of cached solo forwards and must not interleave with
+    /// one. What it caches is up to the network: it may keep a stage's
+    /// inputs instead of its intermediates and let the backward re-run that
+    /// stage on the rows the gradient reaches, as the attention net does for
+    /// its output heads.
     fn q_values_batch_train(&mut self, features: &[&StateFeatures]) -> Vec<Vec<f32>>;
 
     /// Backpropagates one gradient row per state of the most recent

@@ -159,9 +159,9 @@ impl BatchPolicy for PerLanePolicies {
 /// The lockstep batched rollout engine.
 ///
 /// `lanes` is the number of episodes stepped together per worker batch (the
-/// inference batch size). Construct explicitly with [`SyncBatchEngine::new`]
-/// or from the `ACSO_BATCH` environment variable with
-/// [`SyncBatchEngine::from_env`].
+/// inference batch size), fixed at construction with
+/// [`SyncBatchEngine::new`]; the evaluation pipeline's autoscale plan (or an
+/// `ACSO_BATCH` override) chooses it.
 ///
 /// # Example
 ///
@@ -191,12 +191,6 @@ impl SyncBatchEngine {
         Self {
             lanes: lanes.max(1),
         }
-    }
-
-    /// The engine selected by `ACSO_BATCH`, or `None` when the variable is
-    /// unset (callers fall back to the episode-parallel engine).
-    pub fn from_env() -> Option<Self> {
-        acso_runtime::batch_lanes().map(Self::new)
     }
 
     /// Episodes stepped together per worker batch.

@@ -1,9 +1,10 @@
 //! The kernel-backend seam: pluggable providers for the hot float kernels.
 //!
-//! Every layer routes its GEMM variants, transposes, axpy-style updates,
-//! softmax rows, activation maps and the fused attention score/softmax/mix
-//! stage through a [`KernelBackend`] carried by the [`Scratch`] pool instead
-//! of hardcoding the scalar register-tiled kernels. Two providers exist:
+//! Every layer routes its GEMMs (plain, with a bias, and the per-item
+//! `aᵀ·b` weight-gradient flush), transposes, activation maps and the fused
+//! attention score/softmax/mix stages through a [`KernelBackend`] carried by
+//! the [`Scratch`] pool instead of hardcoding the scalar register-tiled
+//! kernels. Two providers exist:
 //!
 //! * [`ReferenceBackend`] — the always-available default. It delegates to the
 //!   exact-order kernels on [`Matrix`], so its results are **bit-identical**
@@ -137,7 +138,7 @@ impl Tolerance {
 /// * **row-count invariance** — for `matmul_into`/`add_matmul`, each output
 ///   element's value depends only on its own row of `a` and column of `b`,
 ///   never on how many other rows are stacked below it. This is what makes
-///   batched passes bit-identical *per item* to solo passes within one
+///   batched passes bit-identical *per item* to one-item passes within one
 ///   backend (the contract `batch_determinism` pins for every backend), and
 ///   what lets a GEMM split by rows.
 /// * **NaN propagation** — kernels take no data-dependent shortcuts:
@@ -267,38 +268,11 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
         gemm_split(self, a, w, Some(bias), out, false);
     }
 
-    /// `out += a[rows]ᵀ · b[rows]` over the row range
-    /// `row_start .. row_start + rows` of both inputs — one item's
-    /// parameter-gradient flush: each element sums the block from zero and
-    /// is added into `out` once. Splits by output rows.
-    fn add_matmul_transa_blocks(
-        &self,
-        out: &mut Matrix,
-        a: &Matrix,
-        b: &Matrix,
-        row_start: usize,
-        rows: usize,
-    ) {
-        check_transa(out, a, b);
-        assert!(
-            row_start + rows <= a.rows(),
-            "row block {}..{} out of {} rows",
-            row_start,
-            row_start + rows,
-            a.rows()
-        );
-        let (r, c) = (a.cols(), b.cols());
-        let split = flush_split(r, r * c * rows);
-        crew::split_mut(split, out.data_mut(), c, &|out_rows, out| {
-            self.transa_rows(out, out_rows, a, b, row_start, rows)
-        });
-    }
-
     /// The batched parameter-gradient flush: `out += a_iᵀ · b_i` for each
     /// of the `items` equal row blocks of `a` and `b`, in ascending item
-    /// order, each block flushed once — the accumulation order of a solo
-    /// backward per item. Splits by output rows, each chunk walking every
-    /// item.
+    /// order, each block flushed once — the accumulation order of one-item
+    /// backwards over the items in order. Splits by output rows, each chunk
+    /// walking every item.
     ///
     /// # Panics
     ///
@@ -310,41 +284,9 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
         crew::split_mut(split, out.data_mut(), b.cols(), &body);
     }
 
-    /// `out += aᵀ · b` over all rows (one block: a single flush).
-    fn add_matmul_transa(&self, out: &mut Matrix, a: &Matrix, b: &Matrix) {
-        self.add_matmul_transa_blocks(out, a, b, 0, a.rows());
-    }
-
-    /// `out = aᵀ · b` without materialising the transpose.
-    fn matmul_transa_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        out.fill(0.0);
-        self.add_matmul_transa(out, a, b);
-    }
-
-    /// `out = a · bᵀ` without materialising the transpose (the attention
-    /// score kernel `Q·Kᵀ` and every `X·Wᵀ` backward product).
-    fn matmul_transb_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        a.matmul_transb_into(b, out);
-    }
-
     /// `out = aᵀ`.
     fn transpose_into(&self, a: &Matrix, out: &mut Matrix) {
         a.transpose_into(out);
-    }
-
-    /// `out += other` (element-wise).
-    fn add_assign(&self, out: &mut Matrix, other: &Matrix) {
-        out.add_assign(other);
-    }
-
-    /// `out += factor * other` (axpy).
-    fn add_scaled(&self, out: &mut Matrix, other: &Matrix, factor: f32) {
-        out.add_scaled(other, factor);
-    }
-
-    /// Row-wise softmax in place.
-    fn softmax_rows_inplace(&self, m: &mut Matrix) {
-        m.softmax_rows_inplace();
     }
 
     /// `out = f(input)`, the activation applied element-wise. Splits by
@@ -599,9 +541,22 @@ fn check_gemm(a: &Matrix, b: &Matrix, out: &Matrix) {
     );
 }
 
-/// Shape checks of a per-item flush into `out`; its split.
+/// Shape checks of a per-item flush `out += Σ_items a_iᵀ · b_i`; its split.
 fn check_flush(out: &Matrix, a: &Matrix, b: &Matrix, items: usize) -> Split {
-    check_transa(out, a, b);
+    assert_eq!(
+        a.rows(),
+        b.rows(),
+        "matmul_transa shape mismatch: {}x{}ᵀ * {}x{}",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+    assert_eq!(
+        out.shape(),
+        (a.cols(), b.cols()),
+        "matmul_transa output shape mismatch"
+    );
     assert!(
         items > 0 && a.rows().is_multiple_of(items),
         "{} rows do not split into {items} items",
@@ -625,24 +580,6 @@ fn flush_body<'a, B: KernelBackend + ?Sized>(
             be.transa_rows(out, out_rows.clone(), a, b, item * rows, rows);
         }
     }
-}
-
-/// Shape checks of the `aᵀ · b` flushes.
-fn check_transa(out: &Matrix, a: &Matrix, b: &Matrix) {
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "matmul_transa shape mismatch: {}x{}ᵀ * {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    assert_eq!(
-        out.shape(),
-        (a.cols(), b.cols()),
-        "matmul_transa output shape mismatch"
-    );
 }
 
 /// `out (+)= a · b (+ bias)`, split by output rows: each chunk runs the
@@ -899,10 +836,6 @@ mod tests {
                         let shape = format!("{name} r={r} c={c} items={items}x{per_item}");
                         assert_splits_match(&format!("flush {shape}"), &start, |out| {
                             be.add_matmul_transa_items(out, &a, &b, items)
-                        });
-                        let last = (items - 1) * per_item;
-                        assert_splits_match(&format!("block flush {shape}"), &start, |out| {
-                            be.add_matmul_transa_blocks(out, &a, &b, last, per_item)
                         });
                     }
                 }

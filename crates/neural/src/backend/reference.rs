@@ -71,13 +71,13 @@ pub(super) fn attention_item_rows(q: &Matrix, k: &Matrix, v: &Matrix, items: usi
 }
 
 /// Reference body of [`KernelBackend::attention_forward_items`]: a
-/// per-item loop over gathered row blocks running exactly the solo
-/// forward's kernel calls (`Q_i·K_iᵀ` via the lane-summed transb kernel,
-/// scalar scale, exact-order softmax, tiled `A_i·V_i`). Each of those
-/// computes an output row from its own query row alone, so each item's
-/// scores and mixed values are bit-identical to a solo pass on that item,
-/// and each query row's to the same row of the square pass — the contracts
-/// the batched determinism fixtures and the grouped Q-network inference pin.
+/// per-item loop over gathered row blocks (`Q_i·K_iᵀ` via the lane-summed
+/// transb kernel, scalar scale, exact-order softmax, tiled `A_i·V_i`). Each
+/// of those computes an output row from its own query row alone, so each
+/// item's scores and mixed values are bit-identical to a one-item pass on
+/// that item, and each query row's to the same row of the square pass — the
+/// contracts the batched determinism fixtures and the grouped Q-network
+/// inference pin.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn attention_forward_items(
     q: &Matrix,
@@ -121,7 +121,7 @@ pub(super) fn attention_forward_items(
 /// per-item gathered-block loop of the pre-seam batched backward —
 /// `dA_i = dM_i·V_iᵀ`, `dV_i = A_iᵀ·dM_i`, the scalar softmax-backward rows
 /// (`dS = A ⊙ (dA − (dA·A)) * scale`), then `dQ_i = dS_i·K_i` and
-/// `dK_i = dS_iᵀ·Q_i` — bit-identical to a solo backward per item.
+/// `dK_i = dS_iᵀ·Q_i` — bit-identical to a one-item backward per item.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn attention_backward_items(
     grad_mixed: &Matrix,

@@ -1,13 +1,13 @@
 //! The AVX2/FMA kernel backend (feature `backend-simd`).
 //!
 //! Explicit `std::arch` x86_64 intrinsics for the hot kernels: a
-//! broadcast-FMA register-blocked GEMM (plain, `aᵀ·b` and `a·bᵀ` variants),
-//! vectorized activation maps, a polynomial-`exp` row softmax, and fused
-//! per-block attention kernels that run each batch item's
-//! score/softmax/mix stage directly on the stacked block-diagonal layout
-//! (`m` query rows against `n` keys per item) — no gather copies. The
-//! forward runs one fused pass per block of four query rows, so each key and
-//! value row is loaded once per block.
+//! broadcast-FMA register-blocked GEMM (plain and `aᵀ·b` variants),
+//! vectorized activation maps, and fused per-block attention kernels (built
+//! on an FMA `a·bᵀ`, a polynomial-`exp` row softmax and its backward) that
+//! run each batch item's score/softmax/mix stage directly on the stacked
+//! block-diagonal layout (`m` query rows against `n` keys per item) — no
+//! gather copies. The forward runs one fused pass per block of four query
+//! rows, so each key and value row is loaded once per block.
 //!
 //! Dispatch is at runtime: AVX2+FMA support is checked with
 //! `is_x86_feature_detected!` on every entry (the detection result is cached
@@ -21,7 +21,7 @@
 //! bound. Within the backend the same guarantees as the reference hold:
 //! results are run-to-run deterministic, each GEMM output element reduces
 //! over ascending `k` independently of the row count (so batched passes stay
-//! bit-identical per item to solo passes *within* this backend), and no
+//! bit-identical per item to one-item passes *within* this backend), and no
 //! kernel takes data-dependent shortcuts (`0 × NaN` propagates `NaN`).
 
 use super::{reference, KernelBackend, Tolerance};
@@ -159,56 +159,8 @@ impl KernelBackend for SimdBackend {
         crate::matrix::transa_rows(out, out_rows, a, b, row_start, rows);
     }
 
-    fn matmul_transb_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        #[cfg(target_arch = "x86_64")]
-        if self.avx2_active() {
-            assert_eq!(
-                a.cols(),
-                b.cols(),
-                "matmul_transb shape mismatch: {}x{} * {}x{}ᵀ",
-                a.rows(),
-                a.cols(),
-                b.rows(),
-                b.cols()
-            );
-            assert_eq!(
-                out.shape(),
-                (a.rows(), b.rows()),
-                "matmul_transb output shape mismatch"
-            );
-            unsafe {
-                avx::gemm_transb(
-                    a.data(),
-                    b.data(),
-                    out.data_mut(),
-                    a.rows(),
-                    a.cols(),
-                    b.rows(),
-                    false,
-                );
-            }
-            return;
-        }
-        a.matmul_transb_into(b, out);
-    }
-
-    // `transpose_into`, `add_assign` and `add_scaled` keep the trait
-    // defaults: they are memory-bound copies/axpys the auto-vectorizer
-    // already saturates, and staying on the reference bodies keeps them
-    // bit-exact for free.
-
-    fn softmax_rows_inplace(&self, m: &mut Matrix) {
-        #[cfg(target_arch = "x86_64")]
-        if self.avx2_active() {
-            let cols = m.cols();
-            let rows = m.rows();
-            unsafe {
-                avx::softmax_rows(m.data_mut(), rows, cols);
-            }
-            return;
-        }
-        m.softmax_rows_inplace();
-    }
+    // `transpose_into` keeps the trait default: a memory-bound copy the
+    // auto-vectorizer already saturates, bit-exact for free.
 
     fn activation_elements(&self, kind: ActivationKind, data: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
@@ -354,7 +306,7 @@ impl KernelBackend for SimdBackend {
                 let out = at * n * d..(at + 1) * n * d;
                 unsafe {
                     // dA = dM·Vᵀ
-                    avx::gemm_transb(gm, vb, ds.data_mut(), n, d, n, false);
+                    avx::gemm_transb(gm, vb, ds.data_mut(), n, d, n);
                     // dV = Aᵀ·dM (into the zeroed block)
                     avx::gemm_transa(ab, gm, &mut grad_v[out.clone()], n, n, n, d);
                     // dS = A ⊙ (dA − (dA·A)) * scale, row by row
@@ -589,8 +541,14 @@ mod avx {
         }
     }
 
-    /// `out (+)= a · bᵀ` — one FMA dot per output element, both operands
-    /// streaming row-major (the score kernel `Q·Kᵀ`).
+    /// `out = a · bᵀ` — one FMA [`dot`] per output element, both operands
+    /// streaming row-major (the attention backward's `dA = dM·Vᵀ`).
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available, and `a`, `b` and `out` must hold at
+    /// least `m * kk`, `n * kk` and `m * n` values (checked only by a debug
+    /// assertion).
     pub unsafe fn gemm_transb(
         a: &[f32],
         b: &[f32],
@@ -598,18 +556,9 @@ mod avx {
         m: usize,
         kk: usize,
         n: usize,
-        accumulate: bool,
     ) {
         debug_assert!(a.len() >= m * kk && b.len() >= n * kk && out.len() >= m * n);
-        gemm_transb_inner(
-            a.as_ptr(),
-            b.as_ptr(),
-            out.as_mut_ptr(),
-            m,
-            kk,
-            n,
-            accumulate,
-        );
+        gemm_transb_inner(a.as_ptr(), b.as_ptr(), out.as_mut_ptr(), m, kk, n);
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -620,18 +569,11 @@ mod avx {
         m: usize,
         kk: usize,
         n: usize,
-        accumulate: bool,
     ) {
         for i in 0..m {
             let a_row = a.add(i * kk);
             for j in 0..n {
-                let s = dot(a_row, b.add(j * kk), kk);
-                let dst = out.add(i * n + j);
-                if accumulate {
-                    *dst += s;
-                } else {
-                    *dst = s;
-                }
+                *out.add(i * n + j) = dot(a_row, b.add(j * kk), kk);
             }
         }
     }
@@ -741,21 +683,14 @@ mod avx {
         }
     }
 
-    /// In-place row softmax: vector max, polynomial exp, vector divide.
-    pub unsafe fn softmax_rows(data: &mut [f32], rows: usize, cols: usize) {
-        debug_assert!(data.len() >= rows * cols);
-        softmax_rows_inner(data.as_mut_ptr(), rows, cols);
-    }
-
+    /// In-place softmax of one row: vector max, polynomial exp, vector
+    /// divide.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available and `row` must address `cols` values.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn softmax_rows_inner(data: *mut f32, rows: usize, cols: usize) {
-        for i in 0..rows {
-            softmax_row(data.add(i * cols), cols);
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn softmax_row(row: *mut f32, cols: usize) {
+    pub unsafe fn softmax_row(row: *mut f32, cols: usize) {
         let mut vmax = _mm256_set1_ps(f32::NEG_INFINITY);
         let mut i = 0;
         while i + 8 <= cols {
@@ -1093,11 +1028,13 @@ mod tests {
         reference.matmul_into(&a, &b, &mut out_r);
         assert_eq!(out_s.data(), out_r.data());
 
-        let mut sm_s = filled(4, 11, 3);
-        let mut sm_r = sm_s.clone();
-        simd.softmax_rows_inplace(&mut sm_s);
-        reference.softmax_rows_inplace(&mut sm_r);
-        assert_eq!(sm_s.data(), sm_r.data());
+        let x = filled(6, 11, 3);
+        let g = filled(6, 19, 4);
+        let mut flush_s = filled(11, 19, 5);
+        let mut flush_r = flush_s.clone();
+        simd.add_matmul_transa_items(&mut flush_s, &x, &g, 3);
+        reference.add_matmul_transa_items(&mut flush_r, &x, &g, 3);
+        assert_eq!(flush_s.data(), flush_r.data());
     }
 
     #[test]
@@ -1165,6 +1102,69 @@ mod tests {
         }
     }
 
+    /// The vectorized `a · bᵀ` against a scalar model of [`avx::dot`] per
+    /// output element: two 8-lane fused multiply-add chains over 16-column
+    /// steps, one more 8-column step into the first, the lanes summed in
+    /// `hsum`'s order, then a plain `total += a * b` over the scalar tail.
+    /// Inner lengths cover every combination of 16- and 8-column steps and
+    /// tails.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx_gemm_transb_keeps_each_elements_chain() {
+        if !SimdBackend::new().avx2_active() {
+            return;
+        }
+        let dot_model = |a: &[f32], b: &[f32]| {
+            let len = a.len();
+            let mut acc = [[0.0f32; 8]; 2];
+            let mut i = 0;
+            while i + 16 <= len {
+                for (h, half) in acc.iter_mut().enumerate() {
+                    for (l, lane) in half.iter_mut().enumerate() {
+                        let k = i + 8 * h + l;
+                        *lane = a[k].mul_add(b[k], *lane);
+                    }
+                }
+                i += 16;
+            }
+            if i + 8 <= len {
+                for (l, lane) in acc[0].iter_mut().enumerate() {
+                    *lane = a[i + l].mul_add(b[i + l], *lane);
+                }
+                i += 8;
+            }
+            let v: [f32; 8] = std::array::from_fn(|l| acc[0][l] + acc[1][l]);
+            let s: [f32; 4] = std::array::from_fn(|l| v[l] + v[l + 4]);
+            let mut total = (s[0] + s[2]) + (s[1] + s[3]);
+            for k in i..len {
+                total += a[k] * b[k];
+            }
+            total
+        };
+        for kk in [1usize, 7, 8, 9, 15, 16, 17, 24, 31, 37, 64] {
+            for (m, n) in [(1usize, 1usize), (3, 5), (4, 9)] {
+                let seed = (kk * 100 + m * 10 + n) as u64;
+                let a = filled(m, kk, seed);
+                let b = filled(n, kk, seed + 1);
+                let mut got = filled(m, n, seed + 2);
+                // SAFETY: AVX2+FMA were detected; `a` holds `m * kk` values,
+                // `b` `n * kk` and `got` `m * n`.
+                unsafe { avx::gemm_transb(a.data(), b.data(), got.data_mut(), m, kk, n) };
+                for i in 0..m {
+                    for j in 0..n {
+                        let want = dot_model(a.row(i), b.row(j));
+                        assert_eq!(
+                            got.get(i, j).to_bits(),
+                            want.to_bits(),
+                            "kk={kk} m={m} n={n} at ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx_softmax_rows_match_reference_within_tolerance() {
         let simd = SimdBackend::new();
@@ -1175,7 +1175,10 @@ mod tests {
         for cols in [1usize, 7, 8, 9, 30, 64] {
             let mut s = filled(3, cols, cols as u64);
             let mut r = s.clone();
-            simd.softmax_rows_inplace(&mut s);
+            for i in 0..3 {
+                // SAFETY: AVX2+FMA were detected; the row holds `cols` values.
+                unsafe { avx::softmax_row(s.row_mut(i).as_mut_ptr(), cols) };
+            }
             r.softmax_rows_inplace();
             for (a, b) in s.data().iter().zip(r.data()) {
                 assert!(tol.allows(*a, *b), "{a} vs {b} at cols={cols}");

@@ -1,18 +1,20 @@
 //! A strided batch view: many independent items stacked along the row axis.
 //!
-//! The batch-first inference path amortises per-call overhead across
-//! concurrent episodes: instead of one forward pass per observation, the
-//! layers accept a [`Batch`] of `items` independent inputs packed into a
+//! Batching amortises per-call overhead across concurrent episodes and
+//! minibatch samples: instead of one pass per state, the layers accept a
+//! [`Batch`] of `items` independent inputs packed into a
 //! single row-major [`Matrix`], item `i` occupying the contiguous row block
 //! `i * rows_per_item .. (i + 1) * rows_per_item` (a constant stride of
 //! `rows_per_item` rows between item starts).
 //!
-//! Row-wise layers (dense, activation) process the whole stacked matrix with
-//! one tiled kernel call; self-attention, which mixes information *across*
-//! the rows (nodes) of one state, uses the item boundary so no information
-//! leaks between items and every item's output is **bit-identical** to a
-//! solo [`crate::Layer::forward`] pass — the contract `tests/batch_forward.rs`
-//! pins down, and the property that lets the batched rollout engine promise
+//! A batch is the only shape a [`crate::Layer`] pass takes; a single input
+//! is a one-item batch. Row-wise layers (dense, activation) process the
+//! whole stacked matrix with one tiled kernel call; self-attention, which
+//! mixes information *across* the rows (nodes) of one state, uses the item
+//! boundary so no information leaks between items. Every item's output is
+//! therefore **bit-identical** to the same pass on a one-item batch of that
+//! item — the contract `tests/batch_forward.rs` and `tests/batch_backward.rs`
+//! pin down, and the property that lets the batched rollout engine promise
 //! bit-identical transcripts.
 
 use crate::matrix::Matrix;
@@ -124,7 +126,7 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut batch = Batch::take(&mut scratch, 3, 2, 2);
         let block = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        batch.matrix_mut().write_row_block(2, &block);
+        batch.matrix_mut().data_mut()[4..8].copy_from_slice(block.data());
         let mut out = Matrix::zeros(2, 2);
         batch.copy_item_into(1, &mut out);
         assert_eq!(out, block);

@@ -66,8 +66,8 @@ impl ActivationKind {
 #[derive(Debug, Clone)]
 pub struct Activation {
     kind: ActivationKind,
-    /// The *output* of the most recent forward pass: every supported kind's
-    /// derivative is recoverable from it (see
+    /// The *output* of the most recent training forward: every supported
+    /// kind's derivative is recoverable from it (see
     /// [`ActivationKind::derivative_from_output`]), which keeps tanh out of
     /// the backward pass entirely.
     cached_output: Option<Matrix>,
@@ -101,41 +101,44 @@ impl Activation {
     pub fn kind(&self) -> ActivationKind {
         self.kind
     }
-}
 
-impl Layer for Activation {
-    fn forward(&mut self, input: &Matrix, scratch: &mut Scratch) -> Matrix {
-        let be = scratch.backend();
-        let mut out = scratch.take_for_overwrite(input.rows(), input.cols());
-        be.activation_into(self.kind, input, &mut out);
-        cache_input(&mut self.cached_output, &out);
-        out
-    }
-
-    fn forward_batch(&mut self, input: &Batch, scratch: &mut Scratch) -> Batch {
-        // Element-wise, so the stacked pass is trivially bit-identical per
-        // item; the backward cache (the last solo forward's output) is left
-        // untouched.
+    /// Shared body of [`Layer::forward_batch`] and (`train`, caching the
+    /// output) [`Layer::forward_batch_train`]. Element-wise, so the stacked
+    /// pass is trivially bit-identical per item.
+    fn forward_batch_impl(&mut self, input: &Batch, scratch: &mut Scratch, train: bool) -> Batch {
         let be = scratch.backend();
         let mut out = scratch.take_for_overwrite(input.matrix().rows(), input.cols());
         be.activation_into(self.kind, input.matrix(), &mut out);
+        if train {
+            cache_input(&mut self.cached_output, &out);
+        }
         Batch::new(out, input.items())
     }
+}
 
-    fn backward(&mut self, grad_output: &Matrix, scratch: &mut Scratch) -> Matrix {
+impl Layer for Activation {
+    fn forward_batch(&mut self, input: &Batch, scratch: &mut Scratch) -> Batch {
+        self.forward_batch_impl(input, scratch, false)
+    }
+
+    fn forward_batch_train(&mut self, input: &Batch, scratch: &mut Scratch) -> Batch {
+        self.forward_batch_impl(input, scratch, true)
+    }
+
+    fn backward_batch(&mut self, grad_output: &Batch, scratch: &mut Scratch) -> Batch {
         let output = self
             .cached_output
             .as_ref()
-            .expect("backward called before forward");
+            .expect("backward_batch called before forward_batch_train");
         assert_eq!(
-            grad_output.shape(),
+            grad_output.matrix().shape(),
             output.shape(),
             "activation gradient shape mismatch"
         );
         let be = scratch.backend();
         let mut grad_input = scratch.take_for_overwrite(output.rows(), output.cols());
-        be.activation_grad_from_output(self.kind, output, grad_output, &mut grad_input);
-        grad_input
+        be.activation_grad_from_output(self.kind, output, grad_output.matrix(), &mut grad_input);
+        Batch::new(grad_input, grad_output.items())
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -147,14 +150,30 @@ impl Layer for Activation {
 mod tests {
     use super::*;
 
+    /// The training forward of `x` as a one-item batch.
+    fn forward(act: &mut Activation, x: &Matrix, scratch: &mut Scratch) -> Matrix {
+        let out = act.forward_batch_train(&Batch::new(x.clone(), 1), scratch);
+        out.into_matrix()
+    }
+
+    /// The backward of a one-item [`forward`].
+    fn backward(act: &mut Activation, grad: &Matrix, scratch: &mut Scratch) -> Matrix {
+        let g = act.backward_batch(&Batch::new(grad.clone(), 1), scratch);
+        g.into_matrix()
+    }
+
     #[test]
     fn relu_forward_backward() {
         let mut scratch = Scratch::new();
         let mut act = Activation::relu();
         let x = Matrix::row_vector(&[-1.0, 0.5, 2.0]);
-        let y = act.forward(&x, &mut scratch);
+        let y = forward(&mut act, &x, &mut scratch);
         assert_eq!(y.data(), &[0.0, 0.5, 2.0]);
-        let g = act.backward(&Matrix::row_vector(&[1.0, 1.0, 1.0]), &mut scratch);
+        let g = backward(
+            &mut act,
+            &Matrix::row_vector(&[1.0, 1.0, 1.0]),
+            &mut scratch,
+        );
         assert_eq!(g.data(), &[0.0, 1.0, 1.0]);
         assert_eq!(act.parameter_count(), 0);
         assert_eq!(act.kind(), ActivationKind::Relu);
@@ -165,9 +184,9 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut act = Activation::leaky_relu();
         let x = Matrix::row_vector(&[-2.0, 3.0]);
-        let y = act.forward(&x, &mut scratch);
+        let y = forward(&mut act, &x, &mut scratch);
         assert!((y.get(0, 0) + 0.02).abs() < 1e-6);
-        let g = act.backward(&Matrix::row_vector(&[1.0, 1.0]), &mut scratch);
+        let g = backward(&mut act, &Matrix::row_vector(&[1.0, 1.0]), &mut scratch);
         assert!((g.get(0, 0) - 0.01).abs() < 1e-6);
         assert!((g.get(0, 1) - 1.0).abs() < 1e-6);
     }
@@ -177,8 +196,8 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut act = Activation::tanh();
         let x = Matrix::row_vector(&[0.3]);
-        let _ = act.forward(&x, &mut scratch);
-        let g = act.backward(&Matrix::row_vector(&[1.0]), &mut scratch);
+        let _ = forward(&mut act, &x, &mut scratch);
+        let g = backward(&mut act, &Matrix::row_vector(&[1.0]), &mut scratch);
         let eps = 1e-3f32;
         let numeric = ((0.3f32 + eps).tanh() - (0.3f32 - eps).tanh()) / (2.0 * eps);
         assert!((g.get(0, 0) - numeric).abs() < 1e-4);
@@ -224,7 +243,7 @@ mod tests {
     fn tanh_output_is_bounded() {
         let mut act = Activation::tanh();
         let x = Matrix::row_vector(&[-100.0, 0.0, 100.0]);
-        let y = act.forward(&x, &mut Scratch::new());
+        let y = forward(&mut act, &x, &mut Scratch::new());
         assert!(y.data().iter().all(|v| v.abs() <= 1.0));
     }
 }

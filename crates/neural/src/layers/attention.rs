@@ -31,7 +31,6 @@ pub struct SelfAttention {
     wo: Param,
     attn_dim: usize,
     cache: Option<Cache>,
-    batch_cache: Option<BatchCache>,
     /// Persistent buffers holding `Wqᵀ/Wkᵀ/Wvᵀ/Woᵀ` for the backward pass
     /// (fast tiled matmuls instead of strided ones); refreshed lazily and
     /// invalidated by [`SelfAttention::params_mut`], the only path that can
@@ -40,22 +39,12 @@ pub struct SelfAttention {
     weights_t_valid: bool,
 }
 
-#[derive(Debug, Clone)]
-struct Cache {
-    input: Matrix,
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    attn: Matrix,
-    mixed: Matrix,
-}
-
-/// Batch-shaped training cache: the projections and the mixed values are
+/// The training cache: the input, the projections and the mixed values
 /// stacked along the item axis exactly like the batch itself, and the
-/// per-item `n x n` attention blocks are stacked into one `[items * n, n]`
+/// per-item `n x n` attention blocks stacked into one `[items * n, n]`
 /// matrix (block `i` at rows `i * n .. (i + 1) * n`).
 #[derive(Debug, Clone)]
-struct BatchCache {
+struct Cache {
     items: usize,
     input: Matrix,
     q: Matrix,
@@ -78,7 +67,6 @@ impl SelfAttention {
             wo: Param::new(xavier_uniform(attn_dim, output_dim, seed.wrapping_add(4))),
             attn_dim,
             cache: None,
-            batch_cache: None,
             weights_t: [
                 Matrix::zeros(attn_dim, input_dim),
                 Matrix::zeros(attn_dim, input_dim),
@@ -92,12 +80,6 @@ impl SelfAttention {
     /// Per-row output dimension.
     pub fn output_dim(&self) -> usize {
         self.wo.value.cols()
-    }
-
-    /// The attention weights from the most recent forward pass, if any.
-    /// Useful for diagnostics (which nodes the network attends to).
-    pub fn last_attention(&self) -> Option<&Matrix> {
-        self.cache.as_ref().map(|c| &c.attn)
     }
 
     /// Grouped inference forward: `input` holds only each item's `m`
@@ -154,7 +136,7 @@ impl SelfAttention {
         // `forward_batch_train`/`backward_batch` pair.
         if cache_for_backward {
             debug_assert!(row_groups.is_none(), "training never groups rows");
-            if let Some(old) = self.batch_cache.take() {
+            if let Some(old) = self.cache.take() {
                 scratch.recycle(old.input);
                 scratch.recycle(old.q);
                 scratch.recycle(old.k);
@@ -217,7 +199,7 @@ impl SelfAttention {
 
         match attn {
             Some(attn) => {
-                self.batch_cache = Some(BatchCache {
+                self.cache = Some(Cache {
                     items: b,
                     input: scratch.take_copy(input.matrix()),
                     q,
@@ -239,58 +221,15 @@ impl SelfAttention {
 }
 
 impl Layer for SelfAttention {
-    fn forward(&mut self, input: &Matrix, scratch: &mut Scratch) -> Matrix {
-        // Return last call's cache buffers to the pool so the steady state
-        // cycles the same allocations instead of growing new ones.
-        if let Some(old) = self.cache.take() {
-            scratch.recycle(old.input);
-            scratch.recycle(old.q);
-            scratch.recycle(old.k);
-            scratch.recycle(old.v);
-            scratch.recycle(old.attn);
-            scratch.recycle(old.mixed);
-        }
-        let be = scratch.backend();
-        let n = input.rows();
-        let mut q = scratch.take_for_overwrite(n, self.attn_dim);
-        be.matmul_into(input, &self.wq.value, &mut q);
-        let mut k = scratch.take_for_overwrite(n, self.attn_dim);
-        be.matmul_into(input, &self.wk.value, &mut k);
-        let mut v = scratch.take_for_overwrite(n, self.attn_dim);
-        be.matmul_into(input, &self.wv.value, &mut v);
-
-        let scale = 1.0 / (self.attn_dim as f32).sqrt();
-        // The solo pass is the fused kernel with a single item: the scores
-        // (`softmax(Q·Kᵀ·scale)`, computed without materialising Kᵀ) land in
-        // the cached attention matrix and the mixed values fall out in one
-        // call.
-        let mut attn = scratch.take_for_overwrite(n, n);
-        let mut mixed = scratch.take_for_overwrite(n, self.attn_dim);
-        be.attention_forward_fused(&q, &k, &v, 1, scale, Some(&mut attn), &mut mixed, scratch);
-        let mut output = scratch.take_for_overwrite(n, self.wo.value.cols());
-        be.matmul_into(&mixed, &self.wo.value, &mut output);
-
-        self.cache = Some(Cache {
-            input: scratch.take_copy(input),
-            q,
-            k,
-            v,
-            attn,
-            mixed,
-        });
-        output
-    }
-
     fn forward_batch(&mut self, input: &Batch, scratch: &mut Scratch) -> Batch {
         // Attention mixes information across rows, so the batch's item
         // boundary is load-bearing: the attention matrix is block-diagonal
         // over items (each item's rows attend only to that item's rows).
         // The projections are row-wise and run as single stacked matmuls;
-        // the score/softmax/mix stage runs per item on gathered blocks with
-        // exactly the kernel calls of the solo forward, so every item's
-        // output is bit-identical to [`SelfAttention::forward`] on that item
-        // alone — not approximately equal. The backward cache (including
-        // `last_attention`) is left untouched.
+        // the fused score/softmax/mix kernel keeps each item's rows to that
+        // item, so every item's output is bit-identical to a one-item batch
+        // of that item alone — not approximately equal. The backward cache
+        // is left untouched.
         self.forward_batch_impl(input, None, scratch, false)
     }
 
@@ -311,7 +250,7 @@ impl Layer for SelfAttention {
             self.weights_t_valid = true;
         }
         let cache = self
-            .batch_cache
+            .cache
             .take()
             .expect("backward_batch called before forward_batch_train");
         let b = cache.items;
@@ -366,63 +305,8 @@ impl Layer for SelfAttention {
         scratch.recycle(grad_q);
         scratch.recycle(grad_k);
         scratch.recycle(grad_v);
-        self.batch_cache = Some(cache);
+        self.cache = Some(cache);
         Batch::new(grad_input, grad_output.items())
-    }
-
-    fn backward(&mut self, grad_output: &Matrix, scratch: &mut Scratch) -> Matrix {
-        let be = scratch.backend();
-        if !self.weights_t_valid {
-            be.transpose_into(&self.wq.value, &mut self.weights_t[0]);
-            be.transpose_into(&self.wk.value, &mut self.weights_t[1]);
-            be.transpose_into(&self.wv.value, &mut self.weights_t[2]);
-            be.transpose_into(&self.wo.value, &mut self.weights_t[3]);
-            self.weights_t_valid = true;
-        }
-        let cache = self.cache.as_ref().expect("backward called before forward");
-        let n = cache.attn.rows();
-        let scale = 1.0 / (self.attn_dim as f32).sqrt();
-
-        // Output projection: Wo.grad += mixedᵀ·G, grad_mixed = G·Woᵀ.
-        be.add_matmul_transa(&mut self.wo.grad, &cache.mixed, grad_output);
-        let mut grad_mixed = scratch.take_for_overwrite(n, self.attn_dim);
-        be.matmul_into(grad_output, &self.weights_t[3], &mut grad_mixed);
-
-        // The attention stage (`dA = dM·Vᵀ`, `dV = Aᵀ·dM`, softmax backward
-        // `dS = A ⊙ (dA − (dA·A)) · scale`, `dQ = dS·K`, `dK = dSᵀ·Q`) is the
-        // fused backend kernel with a single item.
-        let mut grad_q = scratch.take(n, self.attn_dim);
-        let mut grad_k = scratch.take(n, self.attn_dim);
-        let mut grad_v = scratch.take(n, self.attn_dim);
-        be.attention_backward_fused(
-            &grad_mixed,
-            &cache.q,
-            &cache.k,
-            &cache.v,
-            &cache.attn,
-            1,
-            scale,
-            &mut grad_q,
-            &mut grad_k,
-            &mut grad_v,
-            scratch,
-        );
-
-        // Projections.
-        be.add_matmul_transa(&mut self.wq.grad, &cache.input, &grad_q);
-        be.add_matmul_transa(&mut self.wk.grad, &cache.input, &grad_k);
-        be.add_matmul_transa(&mut self.wv.grad, &cache.input, &grad_v);
-
-        let mut grad_input = scratch.take_for_overwrite(n, self.wq.value.rows());
-        be.matmul_into(&grad_q, &self.weights_t[0], &mut grad_input);
-        be.add_matmul(&mut grad_input, &grad_k, &self.weights_t[1]);
-        be.add_matmul(&mut grad_input, &grad_v, &self.weights_t[2]);
-
-        scratch.recycle(grad_mixed);
-        scratch.recycle(grad_q);
-        scratch.recycle(grad_k);
-        scratch.recycle(grad_v);
-        grad_input
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -437,31 +321,49 @@ impl Layer for SelfAttention {
 mod tests {
     use super::*;
 
+    /// The training forward of `x` as a one-item batch.
+    fn forward(attn: &mut SelfAttention, x: &Matrix, scratch: &mut Scratch) -> Matrix {
+        let out = attn.forward_batch_train(&Batch::new(x.clone(), 1), scratch);
+        out.into_matrix()
+    }
+
+    /// The backward of a one-item [`forward`].
+    fn backward(attn: &mut SelfAttention, grad: &Matrix, scratch: &mut Scratch) -> Matrix {
+        let g = attn.backward_batch(&Batch::new(grad.clone(), 1), scratch);
+        g.into_matrix()
+    }
+
     #[test]
     fn forward_shapes_are_independent_of_row_count() {
         let mut scratch = Scratch::new();
         let mut attn = SelfAttention::new(8, 16, 4, 0);
         for n in [1usize, 3, 10, 33] {
             let x = Matrix::full(n, 8, 0.1);
-            let y = attn.forward(&x, &mut scratch);
+            let y = forward(&mut attn, &x, &mut scratch);
             assert_eq!(y.shape(), (n, 4));
+            assert_eq!(attn.cache.as_ref().map(|c| c.attn.shape()), Some((n, n)));
         }
         assert_eq!(attn.output_dim(), 4);
         // Parameter count does not depend on the number of rows.
         assert_eq!(attn.parameter_count(), 8 * 16 * 3 + 16 * 4);
-        assert!(attn.last_attention().is_some());
     }
 
     #[test]
     fn attention_rows_sum_to_one() {
+        // The fused kernel's scores, as the training forward caches them,
+        // for two items of three rows.
         let mut attn = SelfAttention::new(4, 8, 2, 1);
         let x = Matrix::from_rows(&[
             &[1.0, 0.0, 0.0, 0.0],
             &[0.0, 1.0, 0.0, 0.0],
             &[0.0, 0.0, 1.0, 0.0],
+            &[0.5, 0.0, -1.0, 0.0],
+            &[0.0, 2.0, 0.0, 1.0],
+            &[0.0, 0.0, 0.0, -3.0],
         ]);
-        let _ = attn.forward(&x, &mut Scratch::new());
-        let a = attn.last_attention().unwrap();
+        let _ = attn.forward_batch_train(&Batch::new(x, 2), &mut Scratch::new());
+        let a = &attn.cache.as_ref().expect("a training forward caches").attn;
+        assert_eq!(a.shape(), (6, 3));
         for i in 0..a.rows() {
             let sum: f32 = a.row(i).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
@@ -475,10 +377,10 @@ mod tests {
         let x = Matrix::from_rows(&[&[0.5, -0.2, 0.1], &[0.3, 0.8, -0.5]]);
 
         // Loss = sum of outputs.
-        let out = attn.forward(&x, &mut scratch);
+        let out = forward(&mut attn, &x, &mut scratch);
         let ones = Matrix::full(out.rows(), out.cols(), 1.0);
         attn.zero_grad();
-        let grad_input = attn.backward(&ones, &mut scratch);
+        let grad_input = backward(&mut attn, &ones, &mut scratch);
 
         // Numerically check the gradient wrt one input element.
         let eps = 1e-3f32;
@@ -486,8 +388,8 @@ mod tests {
         x_plus.set(0, 1, x.get(0, 1) + eps);
         let mut x_minus = x.clone();
         x_minus.set(0, 1, x.get(0, 1) - eps);
-        let f_plus = attn.forward(&x_plus, &mut scratch).sum();
-        let f_minus = attn.forward(&x_minus, &mut scratch).sum();
+        let f_plus = forward(&mut attn, &x_plus, &mut scratch).sum();
+        let f_minus = forward(&mut attn, &x_minus, &mut scratch).sum();
         let numeric = (f_plus - f_minus) / (2.0 * eps);
         assert!(
             (grad_input.get(0, 1) - numeric).abs() < 2e-2,
@@ -502,18 +404,18 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut attn = SelfAttention::new(3, 4, 2, 11);
         let x = Matrix::from_rows(&[&[0.2, 0.4, -0.3], &[-0.6, 0.1, 0.9]]);
-        let out = attn.forward(&x, &mut scratch);
+        let out = forward(&mut attn, &x, &mut scratch);
         let ones = Matrix::full(out.rows(), out.cols(), 1.0);
         attn.zero_grad();
-        let _ = attn.backward(&ones, &mut scratch);
+        let _ = backward(&mut attn, &ones, &mut scratch);
         let analytic = attn.params_mut()[0].grad.get(1, 2); // wq[1][2]
 
         let eps = 1e-3f32;
         let orig = attn.params_mut()[0].value.get(1, 2);
         attn.params_mut()[0].value.set(1, 2, orig + eps);
-        let f_plus = attn.forward(&x, &mut scratch).sum();
+        let f_plus = forward(&mut attn, &x, &mut scratch).sum();
         attn.params_mut()[0].value.set(1, 2, orig - eps);
-        let f_minus = attn.forward(&x, &mut scratch).sum();
+        let f_minus = forward(&mut attn, &x, &mut scratch).sum();
         attn.params_mut()[0].value.set(1, 2, orig);
         let numeric = (f_plus - f_minus) / (2.0 * eps);
         assert!(

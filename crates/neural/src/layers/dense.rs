@@ -48,24 +48,16 @@ impl Dense {
     pub fn output_dim(&self) -> usize {
         self.weight.value.cols()
     }
-}
 
-impl Layer for Dense {
-    fn forward(&mut self, input: &Matrix, scratch: &mut Scratch) -> Matrix {
-        cache_input(&mut self.cached_input, input);
-        let mut out = scratch.take_for_overwrite(input.rows(), self.weight.value.cols());
-        scratch
-            .backend()
-            .affine_into(input, &self.weight.value, &self.bias.value, &mut out);
-        out
-    }
-
-    fn forward_batch(&mut self, input: &Batch, scratch: &mut Scratch) -> Batch {
-        // The affine map is row-wise and the tiled kernel reduces each output
-        // element over ascending `k` independently of the row count, so one
-        // stacked matmul is bit-identical per item to a solo forward — no
-        // item boundary needed. The backward cache is deliberately left
-        // alone: this is the inference path.
+    /// Shared body of [`Layer::forward_batch`] and (`train`, caching the
+    /// input) [`Layer::forward_batch_train`]. The affine map is row-wise and
+    /// the kernel reduces each output element over ascending `k` whatever
+    /// the row count, so one stacked pass is bit-identical per item to a
+    /// one-item pass: no item boundary is needed.
+    fn forward_batch_impl(&mut self, input: &Batch, scratch: &mut Scratch, train: bool) -> Batch {
+        if train {
+            cache_input(&mut self.cached_input, input.matrix());
+        }
         let be = scratch.backend();
         let mut out = Batch::new(
             scratch.take_for_overwrite(input.matrix().rows(), self.weight.value.cols()),
@@ -79,32 +71,20 @@ impl Layer for Dense {
         );
         out
     }
+}
 
-    fn backward(&mut self, grad_output: &Matrix, scratch: &mut Scratch) -> Matrix {
-        let be = scratch.backend();
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        be.add_matmul_transa(&mut self.weight.grad, input, grad_output);
-        self.bias.grad.add_sum_rows(grad_output);
-        if !self.weight_t_valid {
-            be.transpose_into(&self.weight.value, &mut self.weight_t);
-            self.weight_t_valid = true;
-        }
-        let mut grad_input =
-            scratch.take_for_overwrite(grad_output.rows(), self.weight.value.rows());
-        be.matmul_into(grad_output, &self.weight_t, &mut grad_input);
-        grad_input
+impl Layer for Dense {
+    fn forward_batch(&mut self, input: &Batch, scratch: &mut Scratch) -> Batch {
+        self.forward_batch_impl(input, scratch, false)
     }
 
-    // `forward_batch_train` keeps the trait default: the affine map is
-    // row-wise, so the solo forward on the stacked matrix is bit-identical
-    // per item and its cached input is exactly the stacked batch cache.
+    fn forward_batch_train(&mut self, input: &Batch, scratch: &mut Scratch) -> Batch {
+        self.forward_batch_impl(input, scratch, true)
+    }
 
     /// Flushes the weight-gradient accumulator once per item, whatever the
     /// item's row count, so the accumulation is bit-identical on every
-    /// backend to a solo [`Layer::backward`] on each item in item order.
+    /// backend to one-item backwards in item order.
     fn backward_batch(&mut self, grad_output: &Batch, scratch: &mut Scratch) -> Batch {
         let be = scratch.backend();
         let input = self
@@ -116,11 +96,9 @@ impl Layer for Dense {
             grad_output.matrix().rows(),
             "dense batch gradient row mismatch"
         );
-        // Flush the local tile accumulator once per item, at every row
-        // count, so the summation order matches a serial per-sample backward
-        // bit for bit. One stacked call over single-row items would chain
-        // every item's term through one accumulator, which a fused
-        // multiply-add backend rounds differently from a flush per item.
+        // One stacked flush over single-row items would chain every item's
+        // term through one accumulator, which a fused multiply-add backend
+        // rounds differently from a flush per item.
         be.add_matmul_transa_items(
             &mut self.weight.grad,
             input,
@@ -128,8 +106,8 @@ impl Layer for Dense {
             grad_output.items(),
         );
         // Bias gradients accumulate row by row directly into the parameter
-        // (no local accumulator), so one stacked call is already the serial
-        // addition sequence.
+        // (no local accumulator), so one stacked call is already the
+        // per-item addition sequence.
         self.bias.grad.add_sum_rows(grad_output.matrix());
         if !self.weight_t_valid {
             be.transpose_into(&self.weight.value, &mut self.weight_t);
@@ -154,6 +132,12 @@ impl Layer for Dense {
 mod tests {
     use super::*;
 
+    /// The training forward of `x` as a one-item batch.
+    fn forward(layer: &mut Dense, x: &Matrix, scratch: &mut Scratch) -> Matrix {
+        let out = layer.forward_batch_train(&Batch::new(x.clone(), 1), scratch);
+        out.into_matrix()
+    }
+
     #[test]
     fn forward_shape_and_bias() {
         let mut scratch = Scratch::new();
@@ -161,7 +145,7 @@ mod tests {
         assert_eq!(layer.input_dim(), 3);
         assert_eq!(layer.output_dim(), 2);
         let x = Matrix::zeros(4, 3);
-        let y = layer.forward(&x, &mut scratch);
+        let y = forward(&mut layer, &x, &mut scratch);
         assert_eq!(y.shape(), (4, 2));
         // Zero input -> output equals (zero) bias.
         assert_eq!(y.sum(), 0.0);
@@ -174,10 +158,10 @@ mod tests {
         let mut layer = Dense::new(2, 2, 3);
         let x = Matrix::from_rows(&[&[0.3, -0.7], &[1.2, 0.4]]);
         // Loss = sum of outputs; dL/dout = ones.
-        let out = layer.forward(&x, &mut scratch);
-        let ones = Matrix::full(out.rows(), out.cols(), 1.0);
+        let out = forward(&mut layer, &x, &mut scratch);
+        let ones = Batch::new(Matrix::full(out.rows(), out.cols(), 1.0), 1);
         layer.zero_grad();
-        let grad_in = layer.backward(&ones, &mut scratch);
+        let grad_in = layer.backward_batch(&ones, &mut scratch).into_matrix();
 
         // Finite-difference check on one weight entry and one input entry.
         let eps = 1e-3f32;
@@ -187,13 +171,13 @@ mod tests {
             let orig = w.get(0, 1);
             w.set(0, 1, orig + eps);
         }
-        let plus = layer.forward(&x, &mut scratch).sum();
+        let plus = forward(&mut layer, &x, &mut scratch).sum();
         {
             let w = &mut layer.params_mut()[0].value;
             let orig = w.get(0, 1);
             w.set(0, 1, orig - 2.0 * eps);
         }
-        let minus = layer.forward(&x, &mut scratch).sum();
+        let minus = forward(&mut layer, &x, &mut scratch).sum();
         let numeric_w = (plus - minus) / (2.0 * eps);
         assert!(
             (analytic_w - numeric_w).abs() < 1e-2,
@@ -211,9 +195,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backward called before forward")]
+    #[should_panic(expected = "backward_batch called before forward_batch_train")]
     fn backward_requires_forward() {
         let mut layer = Dense::new(2, 2, 0);
-        let _ = layer.backward(&Matrix::zeros(1, 2), &mut Scratch::new());
+        let mut scratch = Scratch::new();
+        // The inference forward caches nothing.
+        let _ = layer.forward_batch(&Batch::new(Matrix::zeros(1, 2), 1), &mut scratch);
+        let _ = layer.backward_batch(&Batch::new(Matrix::zeros(1, 2), 1), &mut scratch);
     }
 }

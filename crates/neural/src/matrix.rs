@@ -188,69 +188,26 @@ impl Matrix {
         matmul_rows(&a.data, b, &mut self.data, ACCUMULATE);
     }
 
-    /// Writes `selfᵀ * other` into `out` without materialising the transpose.
+    /// Writes `selfᵀ * other` into `out` without materialising the transpose
+    /// or allocating: each element sums its terms from zero over ascending
+    /// rows.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_transa_into(&self, other: &Matrix, out: &mut Matrix) {
-        out.fill(0.0);
-        out.add_matmul_transa(self, other);
-    }
-
-    /// Accumulates `aᵀ * b` into `self` without materialising the transpose
-    /// or allocating — the gradient-accumulation kernel (`W.grad += Xᵀ·G`).
-    /// Uses the same 32-lane register tiling as [`Matrix::add_matmul`]: each
-    /// output tile accumulates in registers across the shared (`k`) row
-    /// dimension, ascending `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn add_matmul_transa(&mut self, a: &Matrix, b: &Matrix) {
-        self.add_matmul_transa_blocks(a, b, 0, a.rows);
-    }
-
-    /// Accumulates `a[row_start .. row_start + rows]ᵀ * b[row_start ..
-    /// row_start + rows]` into `self` — the per-item form of
-    /// [`Matrix::add_matmul_transa`] over one row block of two stacked
-    /// batch matrices.
-    ///
-    /// The float operations are exactly those of `add_matmul_transa` on
-    /// copies of the two blocks (local tile accumulator over the block's
-    /// rows in ascending order, one flush into `self` per element), so a
-    /// per-item loop over a stacked batch reproduces a serial per-sample
-    /// gradient accumulation **bit for bit** — the property the batched
-    /// training path's determinism pin relies on for multi-row items.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch or if the block runs past the last row.
-    pub fn add_matmul_transa_blocks(
-        &mut self,
-        a: &Matrix,
-        b: &Matrix,
-        row_start: usize,
-        rows: usize,
-    ) {
         assert_eq!(
-            a.rows, b.rows,
+            self.rows, other.rows,
             "matmul_transa shape mismatch: {}x{}ᵀ * {}x{}",
-            a.rows, a.cols, b.rows, b.cols
+            self.rows, self.cols, other.rows, other.cols
         );
         assert_eq!(
-            (self.rows, self.cols),
-            (a.cols, b.cols),
+            (out.rows, out.cols),
+            (self.cols, other.cols),
             "matmul_transa output shape mismatch"
         );
-        assert!(
-            row_start + rows <= a.rows,
-            "row block {}..{} out of {} rows",
-            row_start,
-            row_start + rows,
-            a.rows
-        );
-        transa_rows(&mut self.data, 0..a.cols, a, b, row_start, rows);
+        out.fill(0.0);
+        transa_rows(&mut out.data, 0..self.cols, self, other, 0, self.rows);
     }
 
     /// Writes `self * otherᵀ` into `out` without materialising the transpose.
@@ -299,13 +256,6 @@ impl Matrix {
         }
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        self.transpose_into(&mut out);
-        out
-    }
-
     /// Writes the transpose into `out` without allocating.
     ///
     /// # Panics
@@ -324,57 +274,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise sum; shapes must match.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "add shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// Applies a function to every element.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        let data = self.data.iter().map(|x| f(*x)).collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
-    /// In-place element-wise accumulation (`self += other`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "accumulate shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// Alias of [`Matrix::add_assign`], kept for existing call sites.
-    pub fn accumulate(&mut self, other: &Matrix) {
-        self.add_assign(other);
-    }
-
-    /// In-place scaled accumulation (`self += factor * other`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled(&mut self, other: &Matrix, factor: f32) {
-        assert_eq!(self.shape(), other.shape(), "add_scaled shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += factor * b;
-        }
-    }
-
     /// Sets every element to `value` (zero-allocation reset).
     pub fn fill(&mut self, value: f32) {
         self.data.fill(value);
@@ -389,33 +288,10 @@ impl Matrix {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// Applies a function to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Multiplies every element by a scalar in place.
     pub fn scale_inplace(&mut self, factor: f32) {
         for v in &mut self.data {
             *v *= factor;
-        }
-    }
-
-    /// Adds a single-row matrix to every row in place (bias broadcast).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bias` is not `1 x self.cols()`.
-    pub fn add_row_inplace(&mut self, bias: &Matrix) {
-        assert_eq!(bias.rows, 1, "bias must be a row vector");
-        assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        for i in 0..self.rows {
-            let row = &mut self.data[i * self.cols..(i + 1) * self.cols];
-            for (v, b) in row.iter_mut().zip(&bias.data) {
-                *v += b;
-            }
         }
     }
 
@@ -519,25 +395,6 @@ impl Matrix {
         out.data.copy_from_slice(&self.data[start..start + len]);
     }
 
-    /// Overwrites the contiguous row block starting at `dst_row` with `src` —
-    /// the scatter half of the batch view's per-item access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts differ or the block runs past the last row.
-    pub fn write_row_block(&mut self, dst_row: usize, src: &Matrix) {
-        assert_eq!(self.cols, src.cols, "row block column mismatch");
-        assert!(
-            dst_row + src.rows <= self.rows,
-            "row block {}..{} out of {} rows",
-            dst_row,
-            dst_row + src.rows,
-            self.rows
-        );
-        let start = dst_row * self.cols;
-        self.data[start..start + src.data.len()].copy_from_slice(&src.data);
-    }
-
     /// Consumes the matrix, returning its backing buffer (for buffer pools).
     pub fn into_data(self) -> Vec<f32> {
         self.data
@@ -546,15 +403,6 @@ impl Matrix {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Mean of all elements.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
     }
 
     /// Frobenius norm.
@@ -799,39 +647,44 @@ mod tests {
         assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
+    /// `a`'s transpose through [`Matrix::transpose_into`].
+    fn transposed(a: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(a.cols(), a.rows());
+        a.transpose_into(&mut t);
+        t
+    }
+
     #[test]
     fn transpose_round_trips() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let t = a.transpose();
+        let t = transposed(&a);
         assert_eq!(t.shape(), (3, 2));
-        assert_eq!(t.transpose(), a);
+        assert_eq!(t.row(0), &[1.0, 4.0]);
+        assert_eq!(transposed(&t), a);
     }
 
     #[test]
     fn elementwise_ops() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert_eq!(a.add(&b).data(), &[4.0, 6.0]);
-        assert_eq!(a.map(|x| x + 1.0).data(), &[2.0, 3.0]);
-        let mut acc = Matrix::zeros(1, 2);
-        acc.accumulate(&a);
-        acc.accumulate(&a);
-        assert_eq!(acc.data(), &[2.0, 4.0]);
+        let a = Matrix::from_rows(&[&[1.0, -2.0]]);
+        let mut m = a.clone();
+        m.scale_inplace(-0.5);
+        assert_eq!(m.data(), &[-0.5, 1.0]);
+        m.fill(3.0);
+        assert_eq!(m.data(), &[3.0, 3.0]);
+        m.copy_from(&Matrix::zeros(2, 1));
+        assert_eq!(m.shape(), (2, 1));
     }
 
     #[test]
     fn broadcast_and_reductions() {
         let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let mut broadcast = x.clone();
-        broadcast.add_row_inplace(&Matrix::row_vector(&[10.0, 20.0]));
-        assert_eq!(broadcast.data(), &[11.0, 22.0, 13.0, 24.0]);
         let mut sums = Matrix::zeros(1, 2);
         sums.add_sum_rows(&x);
         assert_eq!(sums.data(), &[4.0, 6.0]);
         let mut means = Matrix::zeros(1, 2);
         x.mean_rows_into(&mut means);
         assert_eq!(means.data(), &[2.0, 3.0]);
-        assert_eq!(x.mean(), 2.5);
+        assert_eq!(x.sum(), 10.0);
         assert!((x.norm() - (30.0f32).sqrt()).abs() < 1e-6);
     }
 
@@ -864,13 +717,10 @@ mod tests {
         let c = Matrix::from_rows(&[&[7.0, 8.0], &[9.0, 10.0]]);
         let mut ta = Matrix::zeros(3, 2);
         a.matmul_transa_into(&c, &mut ta);
-        assert_eq!(ta, a.transpose().matmul(&c));
+        assert_eq!(ta, transposed(&a).matmul(&c));
         let mut tb = Matrix::zeros(2, 2);
         a.matmul_transb_into(&a, &mut tb);
-        assert_eq!(tb, a.matmul(&a.transpose()));
-        let mut t = Matrix::zeros(3, 2);
-        a.transpose_into(&mut t);
-        assert_eq!(t, a.transpose());
+        assert_eq!(tb, a.matmul(&transposed(&a)));
     }
 
     #[test]
@@ -878,12 +728,9 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 4.0]]);
 
         let mut m = a.clone();
-        m.map_inplace(|x| x.max(0.0));
-        assert_eq!(m, a.map(|x| x.max(0.0)));
-
-        let mut m = a.clone();
         m.scale_inplace(0.5);
-        assert_eq!(m, a.map(|x| x * 0.5));
+        let halves = a.data().iter().map(|x| x * 0.5).collect();
+        assert_eq!(m, Matrix::from_vec(2, 2, halves));
 
         let mut m = Matrix::zeros(1, 1);
         m.copy_from(&a);
@@ -894,10 +741,6 @@ mod tests {
         let mut sel = Matrix::zeros(3, 2);
         a.select_rows_into(&[1, 0, 1], &mut sel);
         assert_eq!(sel.data(), &[3.0, 4.0, 1.0, -2.0, 3.0, 4.0]);
-
-        let mut acc = a.clone();
-        acc.add_scaled(&a, 2.0);
-        assert_eq!(acc, a.map(|x| x * 3.0));
 
         let mut row = a.clone();
         row.row_mut(0)[0] = 9.0;
@@ -924,24 +767,27 @@ mod tests {
             *v = next();
         }
 
+        // Each item's block flushed in place, one `transa_rows` call each
+        // (the reference body of the per-item gradient flush), against the
+        // same flush over copies of the blocks.
         let mut via_blocks = Matrix::zeros(3, 37);
         let mut via_copies = Matrix::zeros(3, 37);
         for item in 0..3 {
-            via_blocks.add_matmul_transa_blocks(&a, &b, item * 2, 2);
+            transa_rows(via_blocks.data_mut(), 0..3, &a, &b, item * 2, 2);
             let mut ab = Matrix::zeros(2, 3);
             a.copy_row_block_into(item * 2, &mut ab);
             let mut bb = Matrix::zeros(2, 37);
             b.copy_row_block_into(item * 2, &mut bb);
-            via_copies.add_matmul_transa(&ab, &bb);
+            transa_rows(via_copies.data_mut(), 0..3, &ab, &bb, 0, 2);
         }
         assert_eq!(via_blocks.data(), via_copies.data());
 
-        // Single-row blocks degenerate to the stacked call exactly.
+        // Single-row blocks degenerate to one flush over every row exactly.
         let mut stacked = Matrix::zeros(3, 37);
-        stacked.add_matmul_transa(&a, &b);
+        a.matmul_transa_into(&b, &mut stacked);
         let mut rows = Matrix::zeros(3, 37);
         for r in 0..6 {
-            rows.add_matmul_transa_blocks(&a, &b, r, 1);
+            transa_rows(rows.data_mut(), 0..3, &a, &b, r, 1);
         }
         assert_eq!(stacked.data(), rows.data());
     }
@@ -952,10 +798,8 @@ mod tests {
         let mut block = Matrix::zeros(2, 2);
         m.copy_row_block_into(1, &mut block);
         assert_eq!(block, Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]));
-        let mut out = Matrix::zeros(4, 2);
-        out.write_row_block(2, &block);
-        assert_eq!(out.row(2), &[3.0, 4.0]);
-        assert_eq!(out.row(3), &[5.0, 6.0]);
-        assert_eq!(out.row(0), &[0.0, 0.0]);
+        let mut rows = Matrix::zeros(3, 2);
+        m.select_rows_into(&[3, 0, 3], &mut rows);
+        assert_eq!(rows.data(), &[7.0, 8.0, 1.0, 2.0, 7.0, 8.0]);
     }
 }

@@ -227,9 +227,11 @@ impl Adam {
 mod tests {
     use super::*;
 
-    fn quadratic_grad(p: &Param) -> Matrix {
-        // d/dx (x - 3)^2 = 2(x - 3)
-        p.value.map(|x| 2.0 * (x - 3.0))
+    /// Sets `p`'s gradient to that of `(x - 3)^2`, `2(x - 3)`.
+    fn quadratic_grad(p: &mut Param) {
+        for (g, x) in p.grad.data_mut().iter_mut().zip(p.value.data()) {
+            *g = 2.0 * (x - 3.0);
+        }
     }
 
     #[test]
@@ -237,9 +239,7 @@ mod tests {
         let mut p = Param::new(Matrix::row_vector(&[-5.0]));
         let mut opt = Adam::new(0.05);
         for _ in 0..2_000 {
-            p.zero_grad();
-            let g = quadratic_grad(&p);
-            p.accumulate_grad(&g);
+            quadratic_grad(&mut p);
             opt.step(&mut [&mut p]);
         }
         assert!((p.value.get(0, 0) - 3.0).abs() < 1e-2);
@@ -269,9 +269,7 @@ mod tests {
                     restored.restore_state(&saved).unwrap();
                     opt = restored;
                 }
-                p.zero_grad();
-                let g = quadratic_grad(&p);
-                p.accumulate_grad(&g);
+                quadratic_grad(&mut p);
                 opt.step(&mut [&mut p]);
             }
             (saved, p.value.data().to_vec())
@@ -292,7 +290,7 @@ mod tests {
     fn adam_restore_rejects_truncated_state_and_leaves_optimizer_intact() {
         let mut p = Param::new(Matrix::row_vector(&[1.0, 2.0]));
         let mut opt = Adam::new(0.01);
-        p.accumulate_grad(&quadratic_grad(&p));
+        quadratic_grad(&mut p);
         opt.step(&mut [&mut p]);
         let good = opt.state_bytes();
         let before = opt.state_bytes();

@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 /// A trainable parameter.
 ///
 /// Layers expose their parameters as `&mut Param` so optimizers can update
-/// values in place; gradients accumulate across backward passes until
-/// [`Param::zero_grad`] is called.
+/// values in place; layers' backward passes accumulate into the gradient
+/// until [`Param::zero_grad`] is called.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Param {
     /// Current value of the parameter.
@@ -26,15 +26,6 @@ impl Param {
     /// Clears the accumulated gradient in place (no allocation).
     pub fn zero_grad(&mut self) {
         self.grad.fill(0.0);
-    }
-
-    /// Adds a gradient contribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gradient's shape differs from the parameter's.
-    pub fn accumulate_grad(&mut self, grad: &Matrix) {
-        self.grad.accumulate(grad);
     }
 
     /// Number of scalar values in the parameter.
@@ -57,9 +48,12 @@ mod tests {
         let mut p = Param::new(Matrix::zeros(2, 2));
         assert_eq!(p.len(), 4);
         assert!(!p.is_empty());
-        let g = Matrix::full(2, 2, 1.0);
-        p.accumulate_grad(&g);
-        p.accumulate_grad(&g);
+        // Backward passes add into the gradient in place.
+        for _ in 0..2 {
+            for g in p.grad.data_mut() {
+                *g += 1.0;
+            }
+        }
         assert_eq!(p.grad.sum(), 8.0);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);

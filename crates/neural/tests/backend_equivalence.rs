@@ -177,6 +177,36 @@ fn grouped_attention_rows_match_the_square_pass_at_registry_1000_scale() {
     }
 }
 
+#[test]
+fn item_flushes_equal_single_item_flushes_on_every_backend() {
+    // The batched weight-gradient flush over b items is b one-item flushes
+    // in item order, bit for bit: the per-item accumulation every layer's
+    // batched backward relies on. 37 columns leave a vector tail.
+    for be in all_backends() {
+        for (items, rows) in [(1usize, 3usize), (2, 1), (3, 4), (64, 1), (5, 3)] {
+            let seed = (items * 100 + rows) as u64;
+            let a = deterministic(items * rows, 9, seed);
+            let b = deterministic(items * rows, 37, seed + 1);
+            let start = deterministic(9, 37, seed + 2);
+            let mut batched = start.clone();
+            be.add_matmul_transa_items(&mut batched, &a, &b, items);
+            let mut single = start;
+            let (mut ai, mut bi) = (Matrix::zeros(rows, 9), Matrix::zeros(rows, 37));
+            for item in 0..items {
+                a.copy_row_block_into(item * rows, &mut ai);
+                b.copy_row_block_into(item * rows, &mut bi);
+                be.add_matmul_transa_items(&mut single, &ai, &bi, 1);
+            }
+            assert_close(
+                Tolerance::Exact,
+                &batched,
+                &single,
+                &format!("{} items={items}x{rows}", be.name()),
+            );
+        }
+    }
+}
+
 #[cfg(feature = "backend-simd")]
 mod simd {
     use super::*;
@@ -223,11 +253,13 @@ mod simd {
         reference.matmul_into(&a, &b, &mut want);
         assert_close(exact, &got, &want, "fallback matmul");
 
-        let mut got = deterministic(6, 30, 13);
+        let x = deterministic(6, 9, 13);
+        let g = deterministic(6, 30, 14);
+        let mut got = deterministic(9, 30, 15);
         let mut want = got.clone();
-        fallback.softmax_rows_inplace(&mut got);
-        reference.softmax_rows_inplace(&mut want);
-        assert_close(exact, &got, &want, "fallback softmax");
+        fallback.add_matmul_transa_items(&mut got, &x, &g, 3);
+        reference.add_matmul_transa_items(&mut want, &x, &g, 3);
+        assert_close(exact, &got, &want, "fallback gradient flush");
 
         // Whole-layer check through a Scratch pinned to the fallback.
         let mut attn_f = SelfAttention::new(8, 16, 4, 99);
@@ -391,57 +423,28 @@ mod simd {
                 be.add_matmul(&mut got, &a, &b);
                 reference.add_matmul(&mut want, &a, &b);
                 assert_close(tol, &got, &want, &format!("add_matmul {m}x{k}x{n}"));
-
-                // a · bᵀ with b as [n, k].
-                let bt = mat_from(&b_data, n, k);
-                let mut got = Matrix::zeros(m, n);
-                let mut want = Matrix::zeros(m, n);
-                be.matmul_transb_into(&a, &bt, &mut got);
-                reference.matmul_transb_into(&a, &bt, &mut want);
-                assert_close(tol, &got, &want, &format!("matmul_transb {m}x{k}x{n}"));
             }
         }
 
         #[test]
-        fn transa_block_flushes_match_reference(
+        fn transa_item_flushes_match_reference(
             a_data in prop::collection::vec(-2.0f32..2.0, 12 * 9),
             b_data in prop::collection::vec(-2.0f32..2.0, 12 * 37),
         ) {
-            // The per-item parameter-gradient flush: [12, 9]ᵀ · [12, 37] in
-            // three 4-row blocks, accumulated into a non-zero out — the
-            // exact pattern backward_batch uses.
+            // The per-item parameter-gradient flush: [12, 9]ᵀ · [12, 37] as
+            // three 4-row items, then as one 12-row item, accumulated into a
+            // non-zero out — the pattern backward_batch uses.
             let be = simd();
             let tol = be.tolerance();
             let reference = ReferenceBackend;
             let a = mat_from(&a_data, 12, 9);
             let b = mat_from(&b_data, 12, 37);
-            let mut got = Matrix::full(9, 37, 0.25);
-            let mut want = got.clone();
-            for item in 0..3 {
-                be.add_matmul_transa_blocks(&mut got, &a, &b, item * 4, 4);
-                reference.add_matmul_transa_blocks(&mut want, &a, &b, item * 4, 4);
-            }
-            assert_close(tol, &got, &want, "add_matmul_transa_blocks");
-
-            let mut got = Matrix::zeros(9, 37);
-            let mut want = Matrix::zeros(9, 37);
-            be.matmul_transa_into(&a, &b, &mut got);
-            reference.matmul_transa_into(&a, &b, &mut want);
-            assert_close(tol, &got, &want, "matmul_transa_into");
-        }
-
-        #[test]
-        fn softmax_rows_match_reference(
-            data in prop::collection::vec(-8.0f32..8.0, 5 * 37),
-        ) {
-            let be = simd();
-            let tol = be.tolerance();
-            for cols in [1usize, 7, 8, 9, 30, 37] {
-                let mut got = mat_from(&data, 5, cols);
+            for items in [3, 1] {
+                let mut got = Matrix::full(9, 37, 0.25);
                 let mut want = got.clone();
-                be.softmax_rows_inplace(&mut got);
-                ReferenceBackend.softmax_rows_inplace(&mut want);
-                assert_close(tol, &got, &want, &format!("softmax cols={cols}"));
+                be.add_matmul_transa_items(&mut got, &a, &b, items);
+                reference.add_matmul_transa_items(&mut want, &a, &b, items);
+                assert_close(tol, &got, &want, &format!("flush of {items} items"));
             }
         }
 

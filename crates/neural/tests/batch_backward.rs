@@ -1,9 +1,9 @@
 //! The batch-first training contract, mirroring `batch_forward.rs`: for
 //! every layer type, `forward_batch_train` + `backward_batch` over a strided
-//! [`Batch`] produce, for each item, an input gradient **bit-identical** to a
-//! solo `forward`/`backward` pair on that item — and parameter gradients
-//! bit-identical to the serial per-sample accumulation in item order. This
-//! is the layer-level property that lets the batched DQN update reproduce
+//! [`Batch`] produce, for each item, an input gradient **bit-identical** to
+//! the same pair on a one-item batch of that item — and parameter gradients
+//! bit-identical to one-item passes accumulated in item order. This is the
+//! layer-level property that lets the batched DQN update reproduce
 //! serial-update training transcripts exactly.
 
 mod common;
@@ -30,9 +30,9 @@ fn stacked(items: usize, rows_per_item: usize, cols: usize, seed: u64) -> Batch 
     Batch::new(m, items)
 }
 
-/// Runs the batched training pass on `batched` and the serial per-sample
-/// loop on `solo` (two identically-initialised instances of one layer) and
-/// asserts: per-item outputs, per-item input gradients, and the summed
+/// Runs the batched training pass on `batched` and a loop of one-item
+/// passes on `solo` (two identically-initialised instances of one layer)
+/// and asserts: per-item outputs, per-item input gradients, and the summed
 /// parameter gradients are all bit-identical.
 fn assert_training_matches_serial(
     batched: &mut dyn Layer,
@@ -50,28 +50,28 @@ fn assert_training_matches_serial(
     assert_eq!(grad_in.items(), input.items());
     assert_eq!(grad_in.rows_per_item(), input.rows_per_item());
 
-    // Serial reference: forward/backward per item, gradients accumulating
-    // across the loop exactly as the pre-refactor per-sample update did.
+    // Serial reference: a one-item forward/backward per item, gradients
+    // accumulating across the loop exactly as the per-sample update does.
     solo.zero_grad();
     let mut item_in = Matrix::zeros(input.rows_per_item(), input.cols());
     let mut item_grad = Matrix::zeros(out.rows_per_item(), out.cols());
     for i in 0..input.items() {
         input.copy_item_into(i, &mut item_in);
-        let solo_out = solo.forward(&item_in, &mut scratch);
+        let solo_out = solo.forward_batch_train(&Batch::new(item_in.clone(), 1), &mut scratch);
         assert_eq!(
             out.item(i),
-            solo_out.data(),
-            "item {i}: batched training forward diverged from solo forward"
+            solo_out.item(0),
+            "item {i}: batched training forward diverged from a one-item forward"
         );
-        scratch.recycle(solo_out);
+        scratch.recycle(solo_out.into_matrix());
         grad.copy_item_into(i, &mut item_grad);
-        let solo_grad_in = solo.backward(&item_grad, &mut scratch);
+        let solo_grad_in = solo.backward_batch(&Batch::new(item_grad.clone(), 1), &mut scratch);
         assert_eq!(
             grad_in.item(i),
-            solo_grad_in.data(),
-            "item {i}: batched input gradient diverged from solo backward"
+            solo_grad_in.item(0),
+            "item {i}: batched input gradient diverged from a one-item backward"
         );
-        scratch.recycle(solo_grad_in);
+        scratch.recycle(solo_grad_in.into_matrix());
     }
 
     for (j, (a, b)) in batched
@@ -138,7 +138,7 @@ fn attention_batched_training_is_bit_identical_to_serial() {
     let mut batched = SelfAttention::new(5, 8, 4, 17);
     let mut solo = SelfAttention::new(5, 8, 4, 17);
     assert_training_matches_serial(&mut batched, &mut solo, &stacked(7, 6, 5, 19), 20);
-    // A batch of one degenerates to the solo pass.
+    // A batch of one: both sides run the same calls, twice over.
     let mut batched = SelfAttention::new(5, 8, 4, 23);
     let mut solo = SelfAttention::new(5, 8, 4, 23);
     assert_training_matches_serial(&mut batched, &mut solo, &stacked(1, 6, 5, 29), 30);

@@ -1,7 +1,7 @@
 //! The batch-first inference contract: for every layer type,
 //! `forward_batch` over a strided [`Batch`] produces, for each item, output
-//! **bit-identical** to a solo `forward` on that item — and leaves the
-//! backward caches untouched.
+//! **bit-identical** to `forward_batch` on a one-item batch of that item —
+//! and leaves the backward cache untouched.
 
 mod common;
 
@@ -27,31 +27,31 @@ fn stacked_input(items: usize, rows_per_item: usize, cols: usize, seed: u64) -> 
     Batch::new(m, items)
 }
 
-/// Asserts every item of `layer.forward_batch(input)` equals the solo
-/// forward on that item, bit for bit.
-fn assert_batch_matches_solo(layer: &mut dyn Layer, input: &Batch) {
+/// Asserts every item of `layer.forward_batch(input)` equals the forward
+/// of a one-item batch of that item, bit for bit.
+fn assert_batch_matches_one_item_batches(layer: &mut dyn Layer, input: &Batch) {
     let mut scratch = Scratch::new();
     let batched = layer.forward_batch(input, &mut scratch);
     assert_eq!(batched.items(), input.items());
     let mut item_in = Matrix::zeros(input.rows_per_item(), input.cols());
     for i in 0..input.items() {
         input.copy_item_into(i, &mut item_in);
-        let solo = layer.forward(&item_in, &mut scratch);
+        let solo = layer.forward_batch(&Batch::new(item_in.clone(), 1), &mut scratch);
         assert_eq!(
             batched.item(i),
-            solo.data(),
-            "item {i} of the batched output diverged from the solo forward"
+            solo.item(0),
+            "item {i} of the batched output diverged from its one-item batch"
         );
-        scratch.recycle(solo);
+        scratch.recycle(solo.into_matrix());
     }
 }
 
 #[test]
 fn dense_batch_is_bit_identical_per_item() {
     let mut layer = Dense::new(6, 4, 3);
-    assert_batch_matches_solo(&mut layer, &stacked_input(5, 3, 6, 1));
+    assert_batch_matches_one_item_batches(&mut layer, &stacked_input(5, 3, 6, 1));
     // Flat items (rows_per_item = 1), the baseline-net shape.
-    assert_batch_matches_solo(&mut layer, &stacked_input(32, 1, 6, 2));
+    assert_batch_matches_one_item_batches(&mut layer, &stacked_input(32, 1, 6, 2));
 }
 
 #[test]
@@ -61,7 +61,7 @@ fn activation_batch_is_bit_identical_per_item() {
         Activation::leaky_relu(),
         Activation::tanh(),
     ] {
-        assert_batch_matches_solo(&mut layer, &stacked_input(4, 2, 5, 7));
+        assert_batch_matches_one_item_batches(&mut layer, &stacked_input(4, 2, 5, 7));
     }
 }
 
@@ -70,8 +70,8 @@ fn attention_batch_is_bit_identical_per_item() {
     // The attention matrix must be block-diagonal over items: every item's
     // rows attend only to that item's rows.
     let mut layer = SelfAttention::new(5, 8, 4, 17);
-    assert_batch_matches_solo(&mut layer, &stacked_input(7, 6, 5, 19));
-    assert_batch_matches_solo(&mut layer, &stacked_input(1, 6, 5, 23));
+    assert_batch_matches_one_item_batches(&mut layer, &stacked_input(7, 6, 5, 19));
+    assert_batch_matches_one_item_batches(&mut layer, &stacked_input(1, 6, 5, 23));
 }
 
 #[test]
@@ -83,34 +83,34 @@ fn sequential_batch_is_bit_identical_per_item() {
         Box::new(Dense::new(6, 3, 3)),
         Box::new(Activation::tanh()),
     ]);
-    assert_batch_matches_solo(&mut layer, &stacked_input(4, 5, 5, 29));
+    assert_batch_matches_one_item_batches(&mut layer, &stacked_input(4, 5, 5, 29));
 }
 
 #[test]
 fn forward_batch_does_not_clobber_backward_caches() {
-    // A forward/backward training pair may bracket any number of batched
-    // inference calls: the gradients must be what they would have been with
-    // no batched call in between.
+    // A training forward/backward pair over one item may bracket any number
+    // of batched inference calls: the gradients must be what they would
+    // have been with no batched call in between.
     let mut scratch = Scratch::new();
     let make = || SelfAttention::new(4, 6, 3, 5);
-    let x = stacked_input(1, 4, 4, 31).into_matrix();
-    let grad = Matrix::full(4, 3, 1.0);
+    let x = stacked_input(1, 4, 4, 31);
+    let grad = Batch::new(Matrix::full(4, 3, 1.0), 1);
 
     let mut reference = make();
-    let ref_out = reference.forward(&x, &mut scratch);
+    let ref_out = reference.forward_batch_train(&x, &mut scratch);
     reference.zero_grad();
-    let ref_grad_in = reference.backward(&grad, &mut scratch);
+    let ref_grad_in = reference.backward_batch(&grad, &mut scratch);
 
     let mut interleaved = make();
-    let out = interleaved.forward(&x, &mut scratch);
+    let out = interleaved.forward_batch_train(&x, &mut scratch);
     let batch = stacked_input(8, 4, 4, 37);
     let batched = interleaved.forward_batch(&batch, &mut scratch);
     scratch.recycle(batched.into_matrix());
     interleaved.zero_grad();
-    let grad_in = interleaved.backward(&grad, &mut scratch);
+    let grad_in = interleaved.backward_batch(&grad, &mut scratch);
 
-    assert_eq!(out.data(), ref_out.data());
-    assert_eq!(grad_in.data(), ref_grad_in.data());
+    assert_eq!(out.matrix(), ref_out.matrix());
+    assert_eq!(grad_in.matrix(), ref_grad_in.matrix());
     for (a, b) in reference
         .params_mut()
         .iter()
@@ -127,15 +127,11 @@ fn batched_attention_blocks_do_not_leak_between_items() {
     let mut scratch = Scratch::new();
     let mut layer = SelfAttention::new(4, 6, 3, 41);
     let block = stacked_input(1, 5, 4, 43).into_matrix();
-    let noise_a = stacked_input(1, 5, 4, 47).into_matrix();
-    let noise_b = stacked_input(1, 5, 4, 53).into_matrix();
-
-    let mut with_a = Matrix::zeros(10, 4);
-    with_a.write_row_block(0, &block);
-    with_a.write_row_block(5, &noise_a);
-    let mut with_b = Matrix::zeros(10, 4);
-    with_b.write_row_block(0, &block);
-    with_b.write_row_block(5, &noise_b);
+    let pair = |noise_seed: u64| {
+        let noise = stacked_input(1, 5, 4, noise_seed).into_matrix();
+        Matrix::from_vec(10, 4, [block.data(), noise.data()].concat())
+    };
+    let (with_a, with_b) = (pair(47), pair(53));
 
     let out_a = layer.forward_batch(&Batch::new(with_a, 2), &mut scratch);
     let out_b = layer.forward_batch(&Batch::new(with_b, 2), &mut scratch);

@@ -2,29 +2,16 @@
 //! Q-networks chain theirs by hand.
 
 use neural::batch::Batch;
-use neural::{Layer, Matrix, Param, Scratch};
+use neural::{Layer, Param, Scratch};
 
 /// Layers applied in order; backward passes run them in reverse.
 pub struct Chain(pub Vec<Box<dyn Layer>>);
 
 impl Layer for Chain {
-    fn forward(&mut self, input: &Matrix, scratch: &mut Scratch) -> Matrix {
-        self.0
-            .iter_mut()
-            .fold(input.clone(), |x, layer| layer.forward(&x, scratch))
-    }
-
     fn forward_batch(&mut self, input: &Batch, scratch: &mut Scratch) -> Batch {
         self.0
             .iter_mut()
             .fold(input.clone(), |x, layer| layer.forward_batch(&x, scratch))
-    }
-
-    fn backward(&mut self, grad_output: &Matrix, scratch: &mut Scratch) -> Matrix {
-        self.0
-            .iter_mut()
-            .rev()
-            .fold(grad_output.clone(), |g, layer| layer.backward(&g, scratch))
     }
 
     fn forward_batch_train(&mut self, input: &Batch, scratch: &mut Scratch) -> Batch {

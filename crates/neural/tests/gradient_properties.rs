@@ -7,13 +7,25 @@ mod common;
 use common::Chain;
 use neural::layers::{Activation, Dense, SelfAttention};
 use neural::optim::Adam;
-use neural::{Layer, Matrix, Param, Scratch};
+use neural::{Batch, Layer, Matrix, Param, Scratch};
 use proptest::prelude::*;
 
 /// Strategy for a small random matrix with values in [-1, 1].
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-1.0f32..1.0, rows * cols)
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
+}
+
+/// The training forward of `x` as a one-item batch.
+fn forward(layer: &mut dyn Layer, x: &Matrix, scratch: &mut Scratch) -> Matrix {
+    let out = layer.forward_batch_train(&Batch::new(x.clone(), 1), scratch);
+    out.into_matrix()
+}
+
+/// The backward of a one-item [`forward`].
+fn backward(layer: &mut dyn Layer, grad: &Matrix, scratch: &mut Scratch) -> Matrix {
+    let g = layer.backward_batch(&Batch::new(grad.clone(), 1), scratch);
+    g.into_matrix()
 }
 
 fn finite_diff_input<L: Layer>(
@@ -28,8 +40,8 @@ fn finite_diff_input<L: Layer>(
     plus.set(row, col, x.get(row, col) + eps);
     let mut minus = x.clone();
     minus.set(row, col, x.get(row, col) - eps);
-    let f_plus = layer.forward(&plus, scratch).sum();
-    let f_minus = layer.forward(&minus, scratch).sum();
+    let f_plus = forward(layer, &plus, scratch).sum();
+    let f_minus = forward(layer, &minus, scratch).sum();
     (f_plus - f_minus) / (2.0 * eps)
 }
 
@@ -43,10 +55,10 @@ proptest! {
     ) {
         let mut scratch = Scratch::new();
         let mut layer = Dense::new(4, 5, seed);
-        let out = layer.forward(&x, &mut scratch);
+        let out = forward(&mut layer, &x, &mut scratch);
         let ones = Matrix::full(out.rows(), out.cols(), 1.0);
         layer.zero_grad();
-        let grad_in = layer.backward(&ones, &mut scratch);
+        let grad_in = backward(&mut layer, &ones, &mut scratch);
         let numeric = finite_diff_input(&mut layer, &x, 1, 2, &mut scratch);
         prop_assert!((grad_in.get(1, 2) - numeric).abs() < 5e-2,
             "analytic {} vs numeric {}", grad_in.get(1, 2), numeric);
@@ -59,10 +71,10 @@ proptest! {
     ) {
         let mut scratch = Scratch::new();
         let mut layer = SelfAttention::new(4, 6, 3, seed);
-        let out = layer.forward(&x, &mut scratch);
+        let out = forward(&mut layer, &x, &mut scratch);
         let ones = Matrix::full(out.rows(), out.cols(), 1.0);
         layer.zero_grad();
-        let grad_in = layer.backward(&ones, &mut scratch);
+        let grad_in = backward(&mut layer, &ones, &mut scratch);
         let numeric = finite_diff_input(&mut layer, &x, 2, 1, &mut scratch);
         prop_assert!((grad_in.get(2, 1) - numeric).abs() < 8e-2,
             "analytic {} vs numeric {}", grad_in.get(2, 1), numeric);
@@ -75,8 +87,8 @@ proptest! {
     ) {
         let mut scratch = Scratch::new();
         for mut act in [Activation::relu(), Activation::leaky_relu(), Activation::tanh()] {
-            let _ = act.forward(&x, &mut scratch);
-            let g = act.backward(&grad, &mut scratch);
+            let _ = forward(&mut act, &x, &mut scratch);
+            let g = backward(&mut act, &grad, &mut scratch);
             for i in 0..g.rows() {
                 for j in 0..g.cols() {
                     prop_assert!(g.get(i, j).abs() <= grad.get(i, j).abs() + 1e-6);
@@ -91,9 +103,8 @@ proptest! {
         let mut adam = Adam::new(0.05);
         let initial = (start - 1.5).abs();
         for _ in 0..300 {
-            p.zero_grad();
-            let g = p.value.map(|x| 2.0 * (x - 1.5));
-            p.accumulate_grad(&g);
+            let x = p.value.get(0, 0);
+            p.grad.set(0, 0, 2.0 * (x - 1.5));
             adam.step(&mut [&mut p]);
         }
         let finald = (p.value.get(0, 0) - 1.5).abs();
@@ -116,11 +127,12 @@ fn deep_network_gradients_remain_finite() {
     ]);
     let mut scratch = Scratch::new();
     let x = Matrix::full(5, 8, 0.3);
-    let out = net.forward(&x, &mut scratch);
+    let out = forward(&mut net, &x, &mut scratch);
     // Gradient of the mean squared error against a zero target.
-    let grad = out.map(|v| 2.0 * v / out.len() as f32);
+    let grad = out.data().iter().map(|v| 2.0 * v / out.len() as f32);
+    let grad = Matrix::from_vec(out.rows(), out.cols(), grad.collect());
     net.zero_grad();
-    let grad_in = net.backward(&grad, &mut scratch);
+    let grad_in = backward(&mut net, &grad, &mut scratch);
     assert!(grad_in.data().iter().all(|v| v.is_finite()));
     for p in net.params_mut() {
         assert!(p.grad.data().iter().all(|v| v.is_finite()));

@@ -27,6 +27,17 @@ fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// Naive reference transpose.
+fn reference_transpose(a: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), a.rows());
+    for i in 0..a.rows() {
+        for j in 0..a.cols() {
+            out.set(j, i, a.get(i, j));
+        }
+    }
+    out
+}
+
 /// Distance in units-in-the-last-place between two finite `f32` values.
 fn ulp_distance(a: f32, b: f32) -> u32 {
     let to_ordered = |x: f32| {
@@ -89,7 +100,7 @@ proptest! {
         let reference = reference_matmul(&a, &b);
 
         // aᵀ presented transposed: (aᵀ)ᵀ·b via matmul_transa_into.
-        let at = a.transpose();
+        let at = reference_transpose(&a);
         let mut out = Matrix::zeros(4, 3);
         at.matmul_transa_into(&b, &mut out);
         prop_assert_eq!(&out, &reference);
@@ -97,7 +108,7 @@ proptest! {
         // b presented transposed: a·(bᵀ)ᵀ via matmul_transb_into. Inner
         // dimension 6 stays below the 8-lane threshold, so this path is
         // sequential and exact.
-        let bt = b.transpose();
+        let bt = reference_transpose(&b);
         let mut out = Matrix::zeros(4, 3);
         a.matmul_transb_into(&bt, &mut out);
         prop_assert_eq!(&out, &reference);
@@ -113,7 +124,7 @@ proptest! {
         b in matrix(37, 4),
     ) {
         let reference = reference_matmul(&a, &b);
-        let bt = b.transpose();
+        let bt = reference_transpose(&b);
         let mut out = Matrix::zeros(3, 4);
         a.matmul_transb_into(&bt, &mut out);
         for i in 0..out.rows() {
@@ -155,15 +166,23 @@ proptest! {
         b in matrix(4, 4),
     ) {
         let mut m = a.clone();
-        m.add_assign(&b);
-        prop_assert_eq!(&m, &a.add(&b));
+        m.scale_inplace(0.5);
+        let halves = a.data().iter().map(|x| 0.5 * x).collect();
+        prop_assert_eq!(&m, &Matrix::from_vec(4, 4, halves));
 
-        let mut m = a.clone();
-        m.map_inplace(|x| 0.5 * x + 1.0);
-        prop_assert_eq!(&m, &a.map(|x| 0.5 * x + 1.0));
+        // Column sums added onto a non-zero row, rows in ascending order.
+        let mut sums = Matrix::from_vec(1, 4, b.row(0).to_vec());
+        sums.add_sum_rows(&a);
+        for j in 0..4 {
+            let mut want = b.get(0, j);
+            for i in 0..4 {
+                want += a.get(i, j);
+            }
+            prop_assert_eq!(sums.get(0, j), want);
+        }
 
         let mut t = Matrix::zeros(4, 4);
         a.transpose_into(&mut t);
-        prop_assert_eq!(&t, &a.transpose());
+        prop_assert_eq!(&t, &reference_transpose(&a));
     }
 }

@@ -43,6 +43,13 @@ pub const SERVE_LANES_ENV_VAR: &str = "ACSO_SERVE_LANES";
 /// [`ServiceConfig::fixed`] transcript configuration runs with.
 pub const DEFAULT_LANES: usize = 8;
 
+/// Longest request line, in bytes without its newline, the service parses;
+/// a longer line is answered with `limit_exceeded` and `id: null` before
+/// any parsing. Far above any documented request (all under 1 KiB), it
+/// also bounds what one line can make the stdio reader buffer: it cuts a
+/// longer line one byte past the limit.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
 /// Largest `episodes` one `evaluate` may ask for; larger counts are refused
 /// with `limit_exceeded` (an unbounded count sized one allocation per
 /// episode and could abort the process).
@@ -447,6 +454,14 @@ impl EvalService {
     }
 
     fn parse_request(&mut self, line: &str) -> Result<Request, JsonValue> {
+        if line.len() > MAX_REQUEST_LINE_BYTES {
+            self.metrics.requests.add("invalid", 1);
+            return Err(self.fail(
+                &JsonValue::Null,
+                "limit_exceeded",
+                &format!("request line is above the limit of {MAX_REQUEST_LINE_BYTES} bytes"),
+            ));
+        }
         let value = match JsonValue::parse(line) {
             Ok(v) => v,
             Err(e) => {
@@ -1282,6 +1297,31 @@ mod tests {
         assert_eq!(code, "parse_error");
         assert!(message.contains("nesting deeper than"), "{message}");
         parse_ok(&outcome.responses[1]);
+    }
+
+    #[test]
+    fn over_long_lines_exceed_the_limit_and_the_batch_goes_on() {
+        let mut service = service();
+        let outcome = service.handle_batch(&[
+            format!(
+                r#"{{"id":1,"method":"list_scenarios","pad":"{}"}}"#,
+                "x".repeat(MAX_REQUEST_LINE_BYTES)
+            ),
+            r#"{"id":2,"method":"list_scenarios"}"#.to_string(),
+        ]);
+        let (code, message) = parse_err(&outcome.responses[0]);
+        assert_eq!(code, "limit_exceeded");
+        assert!(
+            message.contains(&MAX_REQUEST_LINE_BYTES.to_string()),
+            "{message}"
+        );
+        assert!(
+            outcome.responses[0].starts_with(r#"{"id":null,"#),
+            "{}",
+            outcome.responses[0]
+        );
+        let scenarios = parse_ok(&outcome.responses[1]);
+        assert!(scenarios.get("scenarios").is_some());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! coalescing: the serve loop blocks for one request, then drains everything
 //! already queued behind it into the same lockstep evaluation batch.
 
-use std::io::{BufRead, Write};
+use crate::service::MAX_REQUEST_LINE_BYTES;
+use std::io::{BufRead, Read, Write};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 
 /// A bidirectional stream of protocol lines.
@@ -27,10 +28,49 @@ pub trait Transport {
     fn send(&mut self, line: &str);
 }
 
+/// Reads request lines from `input` and hands each to `deliver`, in order,
+/// until end of input, a read error, or `deliver` returns `false`.
+///
+/// No line from outside stops the reader or grows its buffer without bound:
+///
+/// * a line longer than [`MAX_REQUEST_LINE_BYTES`] is cut to its first
+///   `MAX_REQUEST_LINE_BYTES + 1` bytes, which the service refuses with
+///   `limit_exceeded`, and the rest of it is skipped up to its newline;
+/// * bytes that are not UTF-8 decode to U+FFFD, so the line is answered
+///   like any other (outside a string literal, with a `parse_error`).
+///
+/// A trailing `\r` is dropped with the newline, and a last line without a
+/// newline is delivered too.
+fn read_request_lines(mut input: impl BufRead, mut deliver: impl FnMut(String) -> bool) {
+    let cap = MAX_REQUEST_LINE_BYTES as u64 + 1;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match (&mut input).take(cap).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() as u64 == cap && input.skip_until(b'\n').is_err() {
+            return;
+        }
+        if !deliver(String::from_utf8_lossy(&buf).into_owned()) {
+            return;
+        }
+    }
+}
+
 /// The stdio transport: requests on stdin, responses on stdout.
 ///
 /// A reader thread pulls stdin lines into a channel so the serve loop can
-/// drain already-buffered requests without blocking.
+/// drain already-buffered requests without blocking. A line longer than
+/// [`MAX_REQUEST_LINE_BYTES`] reaches the service cut one byte past the
+/// limit (and is refused there), and bytes that are not UTF-8 decode to
+/// U+FFFD, so no input line ends the reader.
 pub struct StdioTransport {
     incoming: Receiver<String>,
     disconnected: bool,
@@ -43,13 +83,7 @@ impl StdioTransport {
         std::thread::Builder::new()
             .name("acso-serve-stdin".to_string())
             .spawn(move || {
-                let stdin = std::io::stdin();
-                for line in stdin.lock().lines() {
-                    let Ok(line) = line else { break };
-                    if tx.send(line).is_err() {
-                        break;
-                    }
-                }
+                read_request_lines(std::io::stdin().lock(), |line| tx.send(line).is_ok());
             })
             .expect("spawn stdin reader thread");
         Self {
@@ -198,6 +232,37 @@ impl ClientEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Cursor;
+
+    #[test]
+    fn the_reader_bounds_lines_and_decodes_them_lossily() {
+        let mut input = b"{\"id\":1}\r\n".to_vec();
+        input.extend(vec![b'x'; MAX_REQUEST_LINE_BYTES + 10]);
+        input.extend(b"\n{\"x\":\"\xff\"}\nlast");
+        let mut lines = Vec::new();
+        read_request_lines(Cursor::new(input), |line| {
+            lines.push(line);
+            true
+        });
+        assert_eq!(
+            lines.len(),
+            4,
+            "{:?}",
+            lines.iter().map(String::len).collect::<Vec<_>>()
+        );
+        assert_eq!(lines[0], "{\"id\":1}");
+        assert_eq!(lines[1], "x".repeat(MAX_REQUEST_LINE_BYTES + 1));
+        assert_eq!(lines[2], "{\"x\":\"\u{fffd}\"}");
+        assert_eq!(lines[3], "last");
+
+        // `deliver` returning false stops the reader.
+        let mut seen = 0;
+        read_request_lines(Cursor::new(b"a\nb\n".to_vec()), |_| {
+            seen += 1;
+            false
+        });
+        assert_eq!(seen, 1);
+    }
 
     #[test]
     fn channel_pair_round_trips_lines() {

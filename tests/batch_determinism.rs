@@ -133,7 +133,7 @@ fn env_routed_evaluation_matches_the_explicit_engines() {
     // the public evaluation entry point's building blocks.
     let sim = SimConfig::tiny().with_max_time(MAX_TIME);
     let serial = rollout_serial(&mut PlaybookPolicy::new(), &plan(&sim, 1));
-    let engine = SyncBatchEngine::from_env().unwrap_or(SyncBatchEngine::new(8));
+    let engine = SyncBatchEngine::new(acso_runtime::batch_lanes().unwrap_or(8));
     let batched = engine.rollout(&plan(&sim, 4), &|| {
         Box::new(PlaybookPolicy::new()) as Box<dyn DefenderPolicy>
     });
