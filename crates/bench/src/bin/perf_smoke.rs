@@ -1,5 +1,5 @@
 //! Perf-trajectory smoke benchmark: measures simulator rollout throughput
-//! (serial vs parallel vs lockstep-batched), neural forward/backward cost,
+//! (serial vs one-lane parallel vs 16-lane lockstep), neural forward/backward cost,
 //! batched-inference speedup, and the DQN update cost, and emits a `BENCH_<n>.json` snapshot so the repository tracks
 //! performance across PRs (summarise the trajectory with the
 //! `bench_compare` binary).
@@ -33,7 +33,7 @@ use acso_bench::prefilled_update_agent;
 use acso_core::agent::{AttentionQNet, BaselineConvQNet, QNetwork};
 use acso_core::baselines::PlaybookPolicy;
 use acso_core::features::{EncodeScratch, NodeFeatureEncoder};
-use acso_core::rollout::{rollout, rollout_serial, RolloutPlan, SyncBatchEngine};
+use acso_core::rollout::{rollout_serial, RolloutPlan, SyncBatchEngine};
 use acso_core::{ActionSpace, DefenderPolicy, ScenarioRegistry, StateFeatures};
 use acso_runtime::{AutoscalePlan, WorkloadShape};
 use dbn::learn::{learn_model, LearnConfig};
@@ -62,13 +62,12 @@ fn measure_sim_throughput(episodes: usize, hours: u64) -> SimThroughput {
     let start = Instant::now();
     let serial = rollout_serial(&mut PlaybookPolicy::new(), &serial_plan);
     let serial_time = start.elapsed();
+    let playbook = || Box::new(PlaybookPolicy::new()) as Box<dyn DefenderPolicy>;
     let start = Instant::now();
-    let parallel = rollout(&parallel_plan, || Box::new(PlaybookPolicy::new()));
+    let parallel = SyncBatchEngine::new(1).rollout(&parallel_plan, &playbook);
     let parallel_time = start.elapsed();
     assert_eq!(serial, parallel, "parallel rollout must be bit-identical");
-    let batched = SyncBatchEngine::new(16).rollout(&parallel_plan, &|| {
-        Box::new(PlaybookPolicy::new()) as Box<dyn DefenderPolicy>
-    });
+    let batched = SyncBatchEngine::new(16).rollout(&parallel_plan, &playbook);
     assert_eq!(serial, batched, "batched rollout must be bit-identical");
 
     SimThroughput {

@@ -14,14 +14,14 @@
 //! * `--gen-seed N` registers the procedurally generated scenario `seed-N`
 //!   (Mersenne-prime hash seed streams — reproducible from the id alone);
 //! * `--out FILE` additionally writes the results as JSON;
-//! * `--batch N` evaluates through the lockstep batched engine with `N`
-//!   lanes (same as setting `ACSO_BATCH=N`);
+//! * `--batch N` evaluates with `N` lockstep lanes per worker (same as
+//!   setting `ACSO_BATCH=N`);
 //! * `--list` prints the registry catalog and exits.
 //!
-//! At `--smoke` scale the sweep is run once serially and then re-run across
-//! an engine matrix — worker threads 1 and 4, batched engine off / 1 lane /
-//! 16 lanes — and the binary fails unless every transcript is bit-identical,
-//! which is the determinism contract CI enforces.
+//! At `--smoke` scale the sweep is run once on one thread and then re-run
+//! across a (threads, lanes) matrix — (4, planned), (2, 3) and (4, 16) —
+//! and the binary fails unless every transcript is bit-identical, which is
+//! the determinism contract CI enforces.
 
 use acso_bench::{apply_batch_flag, print_header, Scale};
 use acso_core::experiments::{scenario_sweep, ScenarioSweepResult, ScenarioSweepScale};
@@ -182,10 +182,11 @@ fn main() {
     let scale_cfg = sweep_scale(scale);
     let result = if scale == Scale::Smoke {
         // The determinism contract: the whole sweep (training included) must
-        // be bit-identical for any worker-thread count and any engine. Run
-        // the serial reference, then the engine matrix — episode-parallel
-        // with 4 workers, and the lockstep batched engine at 1 and 16 lanes
-        // — and fail on any transcript divergence.
+        // be bit-identical for any worker-thread count and any lane width.
+        // Run the reference (one thread, planned lanes: one per worker on
+        // standard scenarios), then the matrix — 4 workers at planned
+        // lanes, ragged 3-lane batches on 2 workers, and 16 lanes on 4
+        // workers — and fail on any transcript divergence.
         let prev_threads = std::env::var(acso_runtime::THREADS_ENV_VAR).ok();
         let prev_batch = std::env::var(acso_runtime::BATCH_ENV_VAR).ok();
         let run_with = |threads: &str, batch: Option<&str>| {
@@ -197,13 +198,13 @@ fn main() {
             scenario_sweep(&registry, &scale_cfg)
         };
         let serial = run_with("1", None);
-        for (threads, batch) in [("4", None), ("1", Some("1")), ("4", Some("16"))] {
+        for (threads, batch) in [("4", None), ("2", Some("3")), ("4", Some("16"))] {
             let other = run_with(threads, batch);
             assert_eq!(
                 serial,
                 other,
                 "scenario sweep must be bit-identical for ACSO_THREADS={threads}, ACSO_BATCH={}",
-                batch.unwrap_or("off")
+                batch.unwrap_or("unset")
             );
         }
         let restore = |var: &str, value: Option<String>| match value {
@@ -212,7 +213,10 @@ fn main() {
         };
         restore(acso_runtime::THREADS_ENV_VAR, prev_threads);
         restore(acso_runtime::BATCH_ENV_VAR, prev_batch);
-        println!("determinism: threads 1/4 × batch off/1/16 bit-identical ✓");
+        println!(
+            "determinism: (threads, lanes) (1, planned) = (4, planned) = (2, 3) = (4, 16) \
+             bit-identical ✓"
+        );
         serial
     } else {
         scenario_sweep(&registry, &scale_cfg)

@@ -2,8 +2,8 @@
 //! baseline policies (DBN expert, playbook, semi-random) under APT1.
 //!
 //! Run with `--smoke`, `--quick` (default) or `--paper` to choose the scale;
-//! `--batch N` (or `ACSO_BATCH=N`) evaluates through the lockstep batched
-//! engine with `N` lanes — same transcripts, batched inference.
+//! `--batch N` (or `ACSO_BATCH=N`) evaluates with `N` lockstep lanes per
+//! worker — same transcripts, batched inference.
 
 use acso_bench::{apply_batch_flag, print_header, Scale};
 use acso_core::eval::format_table;

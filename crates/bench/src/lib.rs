@@ -225,7 +225,7 @@ pub fn apply_batch_flag<I: IntoIterator<Item = String>>(args: I) -> Option<usize
 }
 
 /// Prints the standard experiment header: what is being reproduced, at which
-/// scale, over how many rollout worker threads, and through which engine.
+/// scale, over how many rollout worker threads, and at which lane width.
 pub fn print_header(artefact: &str, scale: Scale) {
     println!("==========================================================");
     println!("Reproducing {artefact}");
@@ -237,12 +237,12 @@ pub fn print_header(artefact: &str, scale: Scale) {
     );
     match acso_runtime::batch_lanes() {
         Some(lanes) => println!(
-            "Batched engine: {lanes} lockstep lanes per worker ({}=N / --batch N)",
+            "Lockstep lanes: {lanes} per worker ({}=N / --batch N)",
             acso_runtime::BATCH_ENV_VAR
         ),
         None => println!(
-            "Batched engine: autoscaled (lockstep at >= {} nodes or >= {} actions; \
-             pin with {}=N or --batch N)",
+            "Lockstep lanes: autoscaled (several per worker at >= {} nodes or >= {} actions, \
+             one below; pin with {}=N or --batch N)",
             acso_runtime::LOCKSTEP_NODE_THRESHOLD,
             acso_runtime::LOCKSTEP_ACTION_THRESHOLD,
             acso_runtime::BATCH_ENV_VAR

@@ -4,7 +4,7 @@
 
 use crate::actions::ActionSpace;
 use crate::agent::QNetwork;
-use crate::features::{EncodeScratch, NodeFeatureEncoder, StateFeatures};
+use crate::features::{NodeFeatureEncoder, StateFeatures};
 use crate::policy::DefenderPolicy;
 use dbn::{DbnFilter, DbnModel};
 use ics_net::Topology;
@@ -50,9 +50,8 @@ impl AgentConfig {
 
 /// The ACSO defender agent.
 ///
-/// `Clone` snapshots the whole agent — networks, filter, replay contents —
-/// which is how the parallel rollout engine gives every evaluation worker
-/// its own instance of a trained agent.
+/// `Clone` snapshots the whole agent — networks, filter, replay contents.
+/// Evaluation workers take the lighter [`AcsoAgent::eval_clone`] instead.
 ///
 /// # Example
 ///
@@ -90,12 +89,6 @@ pub struct AcsoAgent<N: QNetwork + Clone> {
     /// (evaluation).
     explore: bool,
     losses: Vec<f32>,
-    /// Reusable feature buffer for the greedy evaluation path, where the
-    /// encoding is dead as soon as the action is chosen.
-    eval_features: StateFeatures,
-    /// Step-chain bookkeeping for `eval_features`, letting the greedy path
-    /// rewrite only active rows between consecutive hours of one episode.
-    eval_scratch: EncodeScratch,
     /// Reusable `[batch, action-space]` gradient matrix for the update.
     grad_batch: Matrix,
     /// The target network's Q-rows per feature-arena slot, reused by the
@@ -123,8 +116,6 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
             rng: StdRng::seed_from_u64(config.seed),
             explore: true,
             losses: Vec::new(),
-            eval_features: StateFeatures::empty(),
-            eval_scratch: EncodeScratch::new(),
             grad_batch: Matrix::zeros(0, 0),
             target_cache: TargetCache::new(action_space.len()),
             crew: CrewChoice::default(),
@@ -161,8 +152,6 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
             rng: self.rng.clone(),
             explore: false,
             losses: Vec::new(),
-            eval_features: StateFeatures::empty(),
-            eval_scratch: EncodeScratch::new(),
             grad_batch: Matrix::zeros(0, 0),
             target_cache: TargetCache::new(self.action_space.len()),
             crew: CrewChoice::default(),
@@ -193,7 +182,6 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
     /// start, for training and evaluation alike.
     pub fn begin_episode(&mut self) {
         self.filter.reset();
-        self.eval_scratch.invalidate();
     }
 
     /// Finishes a training episode: decays ε and flushes the n-step window.
@@ -242,26 +230,6 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
         };
         let action = epsilon_greedy(&q, epsilon, &mut self.rng);
         (action, id)
-    }
-
-    /// Greedy action selection for evaluation: encodes into a reusable
-    /// buffer (no per-step feature allocation, and between consecutive hours
-    /// only active node rows are rewritten) and consumes no randomness, so
-    /// cloned agents decide identically regardless of call history.
-    fn act_greedy(&mut self, observation: &Observation) -> usize {
-        self.filter.update(observation);
-        self.encoder.encode_active_into(
-            observation,
-            &self.filter,
-            &mut self.eval_scratch,
-            &mut self.eval_features,
-        );
-        let q = self
-            .online
-            .q_values_batch(&[&self.eval_features])
-            .pop()
-            .expect("a batch of one state yields one Q-vector");
-        rl::policy::greedy(&q)
     }
 
     /// Records a transition for learning, by feature-arena ids (from
@@ -801,21 +769,32 @@ impl<N: QNetwork + Clone + 'static> DefenderPolicy for AcsoAgent<N> {
         self.begin_episode();
     }
 
+    /// The plain greedy reference the lockstep engine is checked against:
+    /// the dense [`NodeFeatureEncoder::encode`], one state's forward, and no
+    /// randomness, so clones decide identically whatever their call history.
     fn decide(
         &mut self,
         observation: &Observation,
         _topology: &Topology,
         _rng: &mut StdRng,
     ) -> Vec<DefenderAction> {
-        let action = self.act_greedy(observation);
-        vec![self.action_space.decode(action)]
+        self.filter.update(observation);
+        let features = self.encoder.encode(observation, &self.filter);
+        let q = self
+            .online
+            .q_values_batch(&[&features])
+            .pop()
+            .expect("a batch of one state yields one Q-vector");
+        vec![self.action_space.decode(rl::policy::greedy(&q))]
     }
 
     /// The agent's batched upgrade for the lockstep engine: one clone of the
-    /// online network shared by all lanes, one belief filter per lane.
-    /// Greedy like [`AcsoAgent::decide`] and bit-identical to it per lane
-    /// (the [`QNetwork::q_values_batch`] contract), so batched rollouts
-    /// reproduce serial transcripts exactly.
+    /// online network shared by all lanes, one belief filter per lane, and
+    /// the step-chained [`NodeFeatureEncoder::encode_active_into`].
+    /// Bit-identical per lane to [`DefenderPolicy::decide`] (the
+    /// [`QNetwork::q_values_batch`] contract and the sparse encode's equality
+    /// with the dense one), so batched rollouts reproduce serial transcripts
+    /// exactly.
     fn make_batch_policy(&self, lanes: usize) -> Option<Box<dyn crate::rollout::BatchPolicy>> {
         Some(Box::new(crate::agent::BatchedAgentPolicy::new(
             self.online.clone(),

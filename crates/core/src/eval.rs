@@ -1,21 +1,21 @@
 //! The evaluation protocol: run a defender policy for many episodes and
 //! aggregate the paper's four metrics (Table 2).
 //!
-//! Episodes run through the [`crate::rollout`] engines. The policy-factory
-//! entry points ([`evaluate_factory_detailed`]) fan episodes out over worker
-//! threads with bit-identical results to the serial `&mut dyn` entry points,
-//! which are kept for policies that cannot be constructed per worker. The
-//! engine itself is *autoscaled*: the workload's shape (topology size,
-//! action-space size, episode count) picks between the episode-parallel pool
-//! and the lockstep [`SyncBatchEngine`] via [`acso_runtime::plan`], with the
+//! The policy-factory entry points ([`evaluate_factory_detailed`]) run
+//! episodes through the lockstep [`SyncBatchEngine`] over worker threads,
+//! with bit-identical results to the serial `&mut dyn` entry points
+//! ([`crate::rollout::rollout_serial`]), which are kept for policies that
+//! cannot be constructed per worker. The engine's lane width and thread
+//! count are *autoscaled*: the workload's shape (topology size, action-space
+//! size, episode count) picks them via [`acso_runtime::plan`], with the
 //! `ACSO_BATCH` / `ACSO_THREADS` environment variables acting as overrides.
-//! Every engine is pinned bit-identical to the serial evaluator, so the
-//! choice can never change a transcript — only its wall-clock.
+//! The engine is pinned bit-identical to the serial evaluator at every
+//! width, so the plan can never change a transcript — only its wall-clock.
 
 use crate::actions::ActionSpace;
 use crate::policy::DefenderPolicy;
 use crate::rollout::{self, RolloutPlan, SyncBatchEngine};
-use acso_runtime::{EngineChoice, WorkloadShape};
+use acso_runtime::WorkloadShape;
 use ics_sim::metrics::{EpisodeMetrics, EvaluationSummary};
 use ics_sim::SimConfig;
 use serde::{Deserialize, Serialize};
@@ -104,14 +104,13 @@ pub fn evaluate_policy_detailed(
     package(policy.name().to_string(), episodes)
 }
 
-/// Runs the evaluation protocol with episodes fanned out over worker
-/// threads, building one policy per worker with `make_policy`. The engine is
-/// chosen by the autoscaler ([`acso_runtime::plan`]) from the workload's
-/// shape: large topologies and wide action spaces route through the lockstep
-/// [`SyncBatchEngine`] (batched inference), small ones through the
-/// episode-parallel pool. `ACSO_BATCH` pins the engine and lane width,
-/// `ACSO_THREADS` pins the worker count. Results are bit-identical to the
-/// serial evaluator whichever engine runs.
+/// Runs the evaluation protocol through the lockstep [`SyncBatchEngine`],
+/// with episodes fanned out over worker threads and policies built per
+/// worker from `make_policy`. The autoscaler ([`acso_runtime::plan`]) picks
+/// the lane width from the workload's shape: large topologies and wide
+/// action spaces batch several episodes per worker, small ones run one lane
+/// per worker. `ACSO_BATCH` pins the lane width, `ACSO_THREADS` the worker
+/// count. Results are bit-identical to the serial evaluator at any width.
 pub fn evaluate_factory_detailed<F>(make_policy: F, config: &EvalConfig) -> PolicyEvaluation
 where
     F: Fn() -> Box<dyn DefenderPolicy> + Sync,
@@ -119,12 +118,7 @@ where
     let name = make_policy().name().to_string();
     let auto = acso_runtime::plan(&workload_shape(config));
     let plan = plan_for(config).with_threads(auto.threads);
-    let episodes = match auto.engine {
-        EngineChoice::Lockstep { lanes } => {
-            SyncBatchEngine::new(lanes).rollout(&plan, &make_policy)
-        }
-        EngineChoice::EpisodeParallel => rollout::rollout(&plan, make_policy),
-    };
+    let episodes = SyncBatchEngine::new(auto.lanes).rollout(&plan, &make_policy);
     package(name, episodes)
 }
 
@@ -205,8 +199,8 @@ mod tests {
     #[test]
     fn autoscaled_lockstep_matches_serial_on_large_topologies() {
         // Inflate the tiny scenario past the lockstep node threshold so the
-        // autoscaler (no overrides set) picks the batched engine, and pin
-        // its transcripts against the serial evaluator.
+        // autoscaler (no overrides set) batches several lanes per worker,
+        // and pin its transcripts against the serial evaluator.
         let mut cfg = tiny_eval(3);
         cfg.sim.topology.l2_workstations = 200;
         cfg.sim.topology.host_budget = 256;

@@ -19,11 +19,12 @@
 //! * [`train`] — the augmented-DQN training loop of §4.2 (double DQN,
 //!   prioritized replay, n-step returns, shaping reward);
 //! * [`eval`] — the 100-episode evaluation protocol and its metrics;
-//! * [`rollout`] — the rollout engines: deterministic per-episode seeding
-//!   fanned out over `ACSO_THREADS` workers, plus the step-synchronized
-//!   [`rollout::SyncBatchEngine`] (`ACSO_BATCH`) that batches policy
-//!   inference across lockstep episodes — both bit-identical to serial
-//!   evaluation;
+//! * [`rollout`] — the rollout engine: the step-synchronized
+//!   [`rollout::SyncBatchEngine`], which fans batches of episodes out over
+//!   `ACSO_THREADS` workers with deterministic per-episode seeding and
+//!   batches policy inference across each batch's `ACSO_BATCH` lockstep
+//!   lanes, bit-identical to the serial oracle
+//!   [`rollout::rollout_serial`];
 //! * [`experiments`] — one entry point per table/figure of the paper
 //!   (Table 2, Fig. 6, Fig. 10, the grid search, the DBN validation) plus
 //!   the registry-wide scenario sweep;

@@ -29,9 +29,9 @@ pub trait DefenderPolicy: Send {
     /// Upgrades a policy of this kind into a [`BatchPolicy`] managing
     /// `lanes` lockstep episode lanes, when the policy supports batched
     /// inference. `self` acts as the prototype (the returned policy must
-    /// decide exactly like `lanes` independent copies of it); the default
-    /// `None` makes the batched engine fall back to per-lane serial
-    /// instances ([`crate::rollout::PerLanePolicies`]).
+    /// decide exactly like `lanes` independent copies of it); on the default
+    /// `None` the engine runs the prototype itself as lane 0 of per-lane
+    /// serial instances ([`crate::rollout::PerLanePolicies`]).
     fn make_batch_policy(&self, lanes: usize) -> Option<Box<dyn BatchPolicy>> {
         let _ = lanes;
         None

@@ -1,27 +1,27 @@
-//! The episode rollout engines.
+//! The episode rollout engine.
 //!
 //! Every evaluation episode is independent: its environment and its policy
 //! RNG are seeded from the episode *index*, and stateful policies are fully
-//! reset at the episode boundary. Two engines exploit that independence:
+//! reset at the episode boundary. [`SyncBatchEngine`] exploits that
+//! independence twice: it fans batches of episodes out over scoped worker
+//! threads (via [`acso_runtime`]), and on each worker it steps a batch's
+//! `lanes` episodes in lockstep — gather the live lanes' observations, make
+//! one batched decision, scatter the actions — so policies with batched
+//! inference (the neural agent) amortise every forward pass across lanes.
+//! At one lane each worker runs its episodes one after another.
 //!
-//! * [`rollout`] fans whole episodes out over scoped worker threads (via
-//!   [`acso_runtime`]) with one policy instance per worker — the
-//!   episode-parallel engine of PR 2;
-//! * [`SyncBatchEngine`] steps a *batch* of episodes in lockstep on each
-//!   worker — gather the live lanes' observations, make one batched
-//!   decision, scatter the actions — so policies with batched inference
-//!   (the neural agent) amortise every forward pass across lanes.
-//!
-//! Both engines drive episodes through the same `EpisodeLane` state
-//! machine and derive all randomness from [`acso_runtime::episode_seed`], so
-//! their per-episode metrics are **bit-identical** to a serial run for any
-//! thread count and any batch width — the property the determinism tests in
-//! `tests/rollout_determinism.rs` and `tests/batch_determinism.rs` (root
+//! [`rollout_serial`] and [`run_episode`] run episodes one by one through a
+//! single policy instance: the serial oracle the engine is checked against.
+//! Both drive episodes through the same `EpisodeLane` state machine and
+//! derive all randomness from [`acso_runtime::episode_seed`], so the
+//! engine's per-episode metrics are **bit-identical** to a serial run for
+//! any thread count and any lane width — the property the determinism tests
+//! in `tests/rollout_determinism.rs` and `tests/batch_determinism.rs` (root
 //! package) pin down.
 //!
-//! The thread count comes from the `ACSO_THREADS` environment variable
-//! ([`acso_runtime::available_threads`]); the batched engine is switched on
-//! by `ACSO_BATCH` ([`acso_runtime::batch_lanes`]).
+//! The evaluation pipeline takes the thread count and lane width from the
+//! autoscale plan ([`acso_runtime::plan`]), which `ACSO_THREADS` and
+//! `ACSO_BATCH` override.
 
 mod sync_batch;
 
@@ -75,11 +75,11 @@ impl RolloutPlan {
 /// One episode's live state inside an engine: the environment, the policy's
 /// per-episode decision RNG, and the metrics accumulated so far.
 ///
-/// Every engine — serial, episode-parallel and lockstep-batched — drives
-/// episodes through this one type, so the per-step bookkeeping (metric
-/// recording, discounting, termination) cannot diverge between them. The
-/// lane's seeds derive from the episode index exactly as the serial
-/// evaluator's always have.
+/// The serial oracle and the lockstep engine both drive episodes through
+/// this one type, so the per-step bookkeeping (metric recording,
+/// discounting, termination) cannot diverge between them. The lane's seeds
+/// derive from the episode index exactly as the serial evaluator's always
+/// have.
 pub(crate) struct EpisodeLane {
     pub(crate) env: IcsEnvironment,
     pub(crate) rng: StdRng,
@@ -127,10 +127,9 @@ impl EpisodeLane {
     }
 }
 
-/// Runs one evaluation episode of a plan against a policy. This is the
-/// single code path behind the serial and the parallel evaluator, and the
-/// batched engine shares its `EpisodeLane` bookkeeping, so no engine's
-/// transcripts can diverge.
+/// Runs one evaluation episode of a plan against a policy: the serial
+/// evaluator's code path, sharing its `EpisodeLane` bookkeeping with the
+/// lockstep engine, so their transcripts cannot diverge.
 pub fn run_episode(
     policy: &mut dyn DefenderPolicy,
     sim: &SimConfig,
@@ -153,19 +152,6 @@ pub fn rollout_serial(policy: &mut dyn DefenderPolicy, plan: &RolloutPlan) -> Ve
         .collect()
 }
 
-/// Rolls out a plan's episodes across worker threads, building one policy
-/// per worker with `make_policy`. Returns per-episode metrics in episode
-/// order, bit-identical to [`rollout_serial`] with a policy from the same
-/// factory.
-pub fn rollout<F>(plan: &RolloutPlan, make_policy: F) -> Vec<EpisodeMetrics>
-where
-    F: Fn() -> Box<dyn DefenderPolicy> + Sync,
-{
-    acso_runtime::run_indexed_with(plan.episodes, plan.threads, &make_policy, |policy, i| {
-        run_episode(policy.as_mut(), &plan.sim, plan.seed, i)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,18 +166,25 @@ mod tests {
         }
     }
 
+    /// The engine at one lane: each worker runs its episodes one by one.
+    fn rollout(plan: &RolloutPlan) -> Vec<EpisodeMetrics> {
+        SyncBatchEngine::new(1).rollout(plan, &|| {
+            Box::new(PlaybookPolicy::new()) as Box<dyn DefenderPolicy>
+        })
+    }
+
     #[test]
     fn parallel_rollout_matches_serial_exactly() {
         let serial = rollout_serial(&mut PlaybookPolicy::new(), &plan(1));
-        let parallel = rollout(&plan(4), || Box::new(PlaybookPolicy::new()));
+        let parallel = rollout(&plan(4));
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 6);
     }
 
     #[test]
     fn episodes_differ_across_indices_and_repeat_across_runs() {
-        let a = rollout(&plan(2), || Box::new(PlaybookPolicy::new()));
-        let b = rollout(&plan(3), || Box::new(PlaybookPolicy::new()));
+        let a = rollout(&plan(2));
+        let b = rollout(&plan(3));
         assert_eq!(a, b);
         // Different seeds per episode: not all episodes can be identical.
         assert!(a.windows(2).any(|w| w[0] != w[1]));

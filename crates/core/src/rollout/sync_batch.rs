@@ -10,7 +10,7 @@
 //!
 //! Determinism is inherited, not re-proven: every lane derives its
 //! environment and decision-RNG streams from its episode index
-//! ([`acso_runtime::episode_seed`], exactly as the serial engine does), lane
+//! ([`acso_runtime::episode_seed`], exactly as the serial oracle does), lane
 //! state never crosses lanes, and batched inference is bit-identical per
 //! item to solo inference (the [`crate::agent::QNetwork::q_values_batch`]
 //! contract). Transcripts are therefore bit-identical to
@@ -124,18 +124,16 @@ pub struct PerLanePolicies {
 }
 
 impl PerLanePolicies {
-    /// Builds `lanes` policy instances from a factory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn new<F>(lanes: usize, make_policy: F) -> Self
+    /// Serves `lanes` lanes: `prototype` is lane 0, and the factory builds
+    /// the other `lanes - 1` instances (none at one lane).
+    pub fn new<F>(prototype: Box<dyn DefenderPolicy>, lanes: usize, make_policy: F) -> Self
     where
         F: Fn() -> Box<dyn DefenderPolicy>,
     {
-        assert!(lanes > 0, "a batch needs at least one lane");
-        let lanes: Vec<_> = (0..lanes).map(|_| make_policy()).collect();
-        let name = lanes[0].name().to_string();
+        let name = prototype.name().to_string();
+        let lanes = std::iter::once(prototype)
+            .chain((1..lanes).map(|_| make_policy()))
+            .collect();
         Self { name, lanes }
     }
 }
@@ -206,8 +204,8 @@ impl SyncBatchEngine {
     /// Each worker builds one long-lived batch policy: the factory's
     /// prototype is asked to upgrade itself via
     /// [`DefenderPolicy::make_batch_policy`] (the neural agent returns its
-    /// shared-network batched form) and falls back to [`PerLanePolicies`]
-    /// otherwise.
+    /// shared-network batched form); otherwise it becomes lane 0 of a
+    /// [`PerLanePolicies`], so a worker builds `lanes` policies in all.
     pub fn rollout<F>(&self, plan: &RolloutPlan, make_policy: &F) -> Vec<EpisodeMetrics>
     where
         F: Fn() -> Box<dyn DefenderPolicy> + Sync,
@@ -260,9 +258,10 @@ impl SyncBatchEngine {
             threads,
             || {
                 let prototype = make_policy();
-                prototype
-                    .make_batch_policy(lanes)
-                    .unwrap_or_else(|| Box::new(PerLanePolicies::new(lanes, make_policy)))
+                match prototype.make_batch_policy(lanes) {
+                    Some(batched) => batched,
+                    None => Box::new(PerLanePolicies::new(prototype, lanes, make_policy)),
+                }
             },
             |policy, batch| {
                 let chunk = &tickets[batch * lanes..((batch + 1) * lanes).min(tickets.len())];
@@ -349,6 +348,7 @@ mod tests {
     use crate::baselines::{PlaybookPolicy, SemiRandomPolicy};
     use crate::rollout::{rollout_serial, RolloutPlan};
     use ics_sim::SimConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn plan(episodes: usize, threads: usize) -> RolloutPlan {
         RolloutPlan {
@@ -381,6 +381,23 @@ mod tests {
             Box::new(SemiRandomPolicy::new()) as Box<dyn DefenderPolicy>
         });
         assert_eq!(serial, batched);
+    }
+
+    #[test]
+    fn a_worker_builds_one_policy_per_lane() {
+        // The prototype a worker upgrades is lane 0 of its per-lane
+        // fallback, not one build more.
+        for lanes in [1usize, 3] {
+            let builds = AtomicUsize::new(0);
+            let factory = || {
+                builds.fetch_add(1, Ordering::Relaxed);
+                Box::new(PlaybookPolicy::new()) as Box<dyn DefenderPolicy>
+            };
+            let serial = rollout_serial(&mut PlaybookPolicy::new(), &plan(5, 1));
+            let batched = SyncBatchEngine::new(lanes).rollout(&plan(5, 1), &factory);
+            assert_eq!(serial, batched);
+            assert_eq!(builds.into_inner(), lanes, "lanes={lanes}");
+        }
     }
 
     #[test]

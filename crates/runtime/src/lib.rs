@@ -28,8 +28,8 @@
 mod autoscale;
 
 pub use autoscale::{
-    detected_cores, plan, plan_with, AutoscalePlan, EngineChoice, WorkloadShape,
-    LOCKSTEP_ACTION_THRESHOLD, LOCKSTEP_NODE_THRESHOLD, MAX_AUTO_LANES,
+    detected_cores, plan, plan_with, AutoscalePlan, WorkloadShape, LOCKSTEP_ACTION_THRESHOLD,
+    LOCKSTEP_NODE_THRESHOLD, MAX_AUTO_LANES,
 };
 
 use std::cell::Cell;
@@ -83,14 +83,12 @@ pub fn threads_override() -> Option<usize> {
         .filter(|n| *n > 0)
 }
 
-/// Environment variable that pins the lockstep batched rollout engine and
-/// its lane count. Unset, `0`, empty or unparsable values pin nothing: the
-/// autoscale [`plan`] then picks the engine from the workload's shape,
-/// lockstep at [`LOCKSTEP_NODE_THRESHOLD`] nodes or
+/// Environment variable that pins the lockstep rollout engine's lane count.
+/// Unset, `0`, empty or unparsable values pin nothing: the autoscale
+/// [`plan`] then picks the width from the workload's shape, several lanes
+/// per worker at [`LOCKSTEP_NODE_THRESHOLD`] nodes or
 /// [`LOCKSTEP_ACTION_THRESHOLD`] actions and up (for example
-/// `registry-1000`), episode-parallel below. `ACSO_BATCH=1` runs the
-/// batched engine with a single lane — useful for pinning down that the
-/// engine itself, not the batch width, is transcript-neutral.
+/// `registry-1000`), one lane below.
 pub const BATCH_ENV_VAR: &str = "ACSO_BATCH";
 
 /// Lockstep-batch lane count: `Some(n)` if `ACSO_BATCH` is set to a positive

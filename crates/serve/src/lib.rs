@@ -57,5 +57,5 @@ pub use events::{Clock, EventSink};
 pub use json::JsonValue;
 pub use metrics::ServeMetrics;
 pub use server::serve;
-pub use service::{BatchOutcome, EvalService, ServiceConfig, DEFAULT_LANES, SERVE_LANES_ENV_VAR};
+pub use service::{BatchOutcome, EvalService, ServiceConfig, DEFAULT_LANES};
 pub use transport::{ChannelTransport, ClientEnd, StdioTransport, Transport};

@@ -22,7 +22,7 @@ one JSON response per line on stdout. See docs/PROTOCOL.md.
 
 options:
   --lanes N       lockstep lanes per inference batch
-                  (default: ACSO_SERVE_LANES, ACSO_BATCH, or 8)
+                  (default: ACSO_BATCH, else detected cores clamped to [8, 16])
   --threads N     worker threads for episode fan-out
                   (default: ACSO_THREADS or available parallelism)
   --events PATH   append a structured JSONL event stream to PATH

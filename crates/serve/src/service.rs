@@ -34,11 +34,6 @@ use ics_sim::metrics::{EpisodeMetrics, EvaluationSummary, MeanStdErr};
 use ics_sim::{IcsEnvironment, SimConfig};
 use std::path::PathBuf;
 
-/// Environment variable overriding the daemon's lockstep lane width. Falls
-/// back to `ACSO_BATCH`, then to the machine-derived width (detected cores
-/// clamped to `DEFAULT_LANES..=MAX_AUTO_LANES`).
-pub const SERVE_LANES_ENV_VAR: &str = "ACSO_SERVE_LANES";
-
 /// Smallest lane width the daemon autoscales to, and the width the pinned
 /// [`ServiceConfig::fixed`] transcript configuration runs with.
 pub const DEFAULT_LANES: usize = 8;
@@ -67,7 +62,8 @@ const MAX_FIT_EPISODES: u64 = 100_000;
 /// pinned for byte-deterministic output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Lockstep lanes per inference batch (`ACSO_SERVE_LANES`).
+    /// Lockstep lanes per inference batch (`--lanes`, else `ACSO_BATCH`,
+    /// else detected cores clamped to `DEFAULT_LANES..=MAX_AUTO_LANES`).
     pub lanes: usize,
     /// Worker threads for episode fan-out within a batch.
     pub threads: usize,
@@ -76,20 +72,15 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Reads `ACSO_SERVE_LANES` / `ACSO_BATCH` / `ACSO_THREADS`; with no
-    /// lane override set, the lane width autoscales to the machine (detected
-    /// cores clamped to `DEFAULT_LANES..=MAX_AUTO_LANES`). Lane width never
-    /// affects a response transcript — the lockstep engine is pinned
-    /// bit-identical for every width — so autoscaling is purely throughput.
+    /// Reads `ACSO_BATCH` / `ACSO_THREADS`; with no lane override set, the
+    /// lane width autoscales to the machine (detected cores clamped to
+    /// `DEFAULT_LANES..=MAX_AUTO_LANES`). Lane width never affects a
+    /// response transcript — the lockstep engine is pinned bit-identical for
+    /// every width — so autoscaling is purely throughput.
     pub fn from_env() -> Self {
-        let lanes = std::env::var(SERVE_LANES_ENV_VAR)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|n| *n > 0)
-            .or_else(acso_runtime::batch_lanes)
-            .unwrap_or_else(|| {
-                acso_runtime::detected_cores().clamp(DEFAULT_LANES, acso_runtime::MAX_AUTO_LANES)
-            });
+        let lanes = acso_runtime::batch_lanes().unwrap_or_else(|| {
+            acso_runtime::detected_cores().clamp(DEFAULT_LANES, acso_runtime::MAX_AUTO_LANES)
+        });
         Self {
             lanes,
             threads: acso_runtime::available_threads(),

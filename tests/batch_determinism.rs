@@ -7,11 +7,13 @@
 //!
 //! Thread and lane counts are passed explicitly (no environment variables),
 //! so the matrix here composes with whatever `ACSO_THREADS`/`ACSO_BATCH`
-//! the surrounding CI job sets; the `batch-determinism` CI step additionally
-//! exercises the env-var routing end to end through the `table2` binary.
+//! the surrounding CI job sets. The routing test at the end goes through the
+//! evaluation pipeline under those variables, and the `batch-determinism`
+//! CI step exercises them end to end through the `table2` binary.
 
 use acso_core::agent::{AcsoAgent, AgentConfig, AttentionQNet};
 use acso_core::baselines::{DbnExpertPolicy, PlaybookPolicy, SemiRandomPolicy};
+use acso_core::eval::{evaluate_factory_detailed, evaluate_policy_detailed, EvalConfig};
 use acso_core::rollout::{rollout_serial, RolloutPlan, SyncBatchEngine};
 use acso_core::train::{train_attention_acso, TrainConfig};
 use acso_core::{ActionSpace, DefenderPolicy, ScenarioRegistry};
@@ -128,14 +130,23 @@ fn xl_acso_lockstep_transcripts_match_serial() {
 
 #[test]
 fn env_routed_evaluation_matches_the_explicit_engines() {
-    // The `ACSO_BATCH` routing in the evaluation pipeline must select an
-    // engine, never change results: compare the two engines' outputs through
-    // the public evaluation entry point's building blocks.
-    let sim = SimConfig::tiny().with_max_time(MAX_TIME);
-    let serial = rollout_serial(&mut PlaybookPolicy::new(), &plan(&sim, 1));
-    let engine = SyncBatchEngine::new(acso_runtime::batch_lanes().unwrap_or(8));
-    let batched = engine.rollout(&plan(&sim, 4), &|| {
-        Box::new(PlaybookPolicy::new()) as Box<dyn DefenderPolicy>
-    });
-    assert_eq!(serial, batched);
+    // The evaluation pipeline's autoscale plan, under whatever
+    // `ACSO_BATCH`/`ACSO_THREADS` the job sets, picks a lane width and a
+    // thread count, never a result: the factory entry point must match the
+    // serial one for a stateful baseline and for a trained agent.
+    let config = EvalConfig {
+        sim: SimConfig::tiny().with_max_time(MAX_TIME),
+        episodes: 2 * EPISODES + 1,
+        seed: 29,
+    };
+    let serial = evaluate_policy_detailed(&mut PlaybookPolicy::new(), &config);
+    let routed = evaluate_factory_detailed(|| Box::new(PlaybookPolicy::new()), &config);
+    assert_eq!(serial, routed, "Playbook: the routed evaluation diverged");
+
+    let trained = train_attention_acso(&TrainConfig::smoke(1).with_seed(4));
+    let mut agent = trained.agent;
+    agent.set_explore(false);
+    let routed = evaluate_factory_detailed(|| Box::new(agent.eval_clone()), &config);
+    let serial = evaluate_policy_detailed(&mut agent, &config);
+    assert_eq!(serial, routed, "ACSO: the routed evaluation diverged");
 }

@@ -1,13 +1,25 @@
-//! The parallel rollout engine's core guarantee: fanning episodes over
-//! worker threads produces **bit-identical** per-episode transcripts
-//! (metrics) to running them serially, for stateless baselines, stateful
-//! filter-carrying baselines, and the trained neural agent alike.
+//! The rollout engine's core guarantee: fanning episodes over worker
+//! threads produces **bit-identical** per-episode transcripts (metrics) to
+//! running them serially, for stateless baselines, stateful
+//! filter-carrying baselines, and the trained neural agent alike. The
+//! engine runs at one lane here, one episode at a time per worker;
+//! `batch_determinism.rs` covers wider batches.
 
 use acso_core::baselines::{DbnExpertPolicy, PlaybookPolicy, SemiRandomPolicy};
-use acso_core::rollout::{rollout, rollout_serial, RolloutPlan};
+use acso_core::rollout::{rollout_serial, RolloutPlan, SyncBatchEngine};
 use acso_core::train::{train_attention_acso, TrainConfig};
+use acso_core::DefenderPolicy;
 use dbn::learn::{learn_model, LearnConfig};
+use ics_sim::metrics::EpisodeMetrics;
 use ics_sim::SimConfig;
+
+/// The engine at one lane, building one policy per worker.
+fn rollout<F>(plan: &RolloutPlan, make_policy: F) -> Vec<EpisodeMetrics>
+where
+    F: Fn() -> Box<dyn DefenderPolicy> + Sync,
+{
+    SyncBatchEngine::new(1).rollout(plan, &make_policy)
+}
 
 fn sixteen_episode_plan(threads: usize) -> RolloutPlan {
     RolloutPlan {

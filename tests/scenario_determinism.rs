@@ -8,8 +8,9 @@
 //! fixtures.)
 
 use acso_core::baselines::PlaybookPolicy;
-use acso_core::rollout::{self, rollout, rollout_serial, RolloutPlan};
+use acso_core::rollout::{self, rollout_serial, RolloutPlan, SyncBatchEngine};
 use acso_core::scenario::ScenarioRegistry;
+use acso_core::DefenderPolicy;
 use ics_net::Topology;
 use ics_sim::Scenario;
 
@@ -57,7 +58,9 @@ fn generated_scenarios_are_thread_count_independent() {
     let serial_plan = RolloutPlan::new(sim.clone(), 6, scenario.config.seed).with_threads(1);
     let parallel_plan = RolloutPlan::new(sim, 6, scenario.config.seed).with_threads(4);
     let serial = rollout_serial(&mut PlaybookPolicy::new(), &serial_plan);
-    let parallel = rollout(&parallel_plan, || Box::new(PlaybookPolicy::new()));
+    let parallel = SyncBatchEngine::new(1).rollout(&parallel_plan, &|| {
+        Box::new(PlaybookPolicy::new()) as Box<dyn DefenderPolicy>
+    });
     assert_eq!(serial, parallel);
 }
 
