@@ -332,7 +332,7 @@ impl<N: QNetwork + Clone> AcsoAgent<N> {
     /// cache untouched. The values are exactly those of fresh forwards over
     /// every next state: a state's inference Q-values do not depend on its
     /// batch and equal its training-forward Q-values on every backend
-    /// (pinned in `tests/backend_equivalence.rs`).
+    /// (pinned by the `agent::backend_equivalence` tests).
     fn bootstrap_values(&mut self, picks: &[(usize, f64)], predictions: &[Vec<f32>]) -> Vec<f64> {
         let trainer = &self.trainer;
         // Distinct next states, and each live sample's index into them.
@@ -809,7 +809,7 @@ impl<N: QNetwork + Clone + 'static> DefenderPolicy for AcsoAgent<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::{AttentionQNet, BaselineConvQNet};
+    use crate::agent::{AttentionQNet, BaselineConvQNet, SoloQNetwork};
     use dbn::learn::{learn_model, LearnConfig};
     use ics_sim::{IcsEnvironment, SimConfig};
     use std::cell::Cell;
@@ -852,8 +852,11 @@ mod tests {
         /// sampling, optimizer step and priority refresh, but an uncached
         /// bootstrap, and forward and backward passes that run one replay
         /// sample at a time through the networks' solo cached
-        /// `q_values`/`backward`.
-        fn maybe_train_serial(&mut self) -> Option<f32> {
+        /// [`SoloQNetwork`] pair.
+        fn maybe_train_serial(&mut self) -> Option<f32>
+        where
+            N: SoloQNetwork,
+        {
             if !self.trainer.should_update() {
                 return None;
             }
@@ -967,7 +970,7 @@ mod tests {
     /// runs agree bit for bit: every loss, every weight of both networks,
     /// the replay priorities and Adam's moments. Returns the batched run's
     /// target-cache counters.
-    fn assert_serial_matches<N: QNetwork + Clone>(
+    fn assert_serial_matches<N: SoloQNetwork + Clone>(
         label: &str,
         train: impl Fn(Update<N>) -> (Vec<f32>, AcsoAgent<N>),
     ) -> TargetCacheStats {

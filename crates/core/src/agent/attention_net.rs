@@ -9,6 +9,8 @@
 
 use crate::actions::{ActionSpace, ACTIONS_PER_NODE, ACTIONS_PER_PLC};
 use crate::agent::QNetwork;
+#[cfg(test)]
+use crate::agent::SoloQNetwork;
 use crate::features::{StateFeatures, NODE_FEATURE_DIM, PLC_FEATURE_DIM, PLC_SUMMARY_DIM};
 use neural::layers::{Activation, Dense, SelfAttention};
 use neural::{Batch, Layer, Matrix, Param, Scratch};
@@ -41,18 +43,12 @@ pub struct AttentionQNet {
     noact_head: Head,
 
     scratch: Scratch,
+    /// The solo oracle's forward cache (see [`SoloQNetwork`]).
+    #[cfg(test)]
     cache: Option<ForwardCache>,
     batch_cache: Option<BatchForwardCache>,
     /// Reused row-grouping buffers of the batched forward.
     groups: RowGroups,
-}
-
-#[derive(Debug, Clone)]
-struct ForwardCache {
-    node_count: usize,
-    plc_count: usize,
-    host_rows: Vec<usize>,
-    server_rows: Vec<usize>,
 }
 
 /// Cache of the batched training forward. The embedding, attention and
@@ -100,6 +96,7 @@ impl AttentionQNet {
             plc_head: Head::new(plc_head_in, ACTIONS_PER_PLC, seed.wrapping_add(10)),
             noact_head: Head::new(head_in, 1, seed.wrapping_add(12)),
             scratch: Scratch::new(),
+            #[cfg(test)]
             cache: None,
             batch_cache: None,
             groups: RowGroups::default(),
@@ -574,19 +571,6 @@ fn attend(
     }
 }
 
-/// Horizontal concatenation of two row blocks into a pooled matrix: every
-/// output row is `left.row(i) ++ right_row` (with `right` broadcast when
-/// single-row).
-fn hcat_broadcast_into(left: &Matrix, right: &Matrix, out: &mut Matrix) {
-    let lc = left.cols();
-    for i in 0..out.rows() {
-        let right_row = if right.rows() == 1 { 0 } else { i };
-        let row = out.row_mut(i);
-        row[..lc].copy_from_slice(left.row(i));
-        row[lc..].copy_from_slice(right.row(right_row));
-    }
-}
-
 /// Dispatches one layer's batched forward: inference (`forward_batch`,
 /// caches untouched) or training (`forward_batch_train`, batch cache
 /// written). Keeping the dispatch in one place lets the whole stacked pass
@@ -728,9 +712,9 @@ impl QNetwork for AttentionQNet {
     /// attention layers with an explicit per-item boundary (each state's
     /// nodes attend only to that state's nodes). Each state's repeated node
     /// rows are computed once (grouped inference, see
-    /// `q_values_batch_impl`). Every state's Q-vector is bit-identical to a
-    /// solo [`AttentionQNet::q_values`] call, and the training cache is left
-    /// untouched.
+    /// `q_values_batch_impl`). Every state's Q-vector is bit-identical to
+    /// the one a batch of that state alone returns, and the training cache
+    /// is left untouched.
     ///
     /// # Panics
     ///
@@ -743,7 +727,7 @@ impl QNetwork for AttentionQNet {
 
     /// The batched *training* forward: the same stacked pass as
     /// [`AttentionQNet::q_values_batch`] (so every state's Q-vector is
-    /// bit-identical to a solo [`AttentionQNet::q_values`]), with the
+    /// bit-identical to the inference forward's), with the
     /// embedding, attention and no-action layers run through their
     /// `forward_batch_train` path so batch-shaped caches feed one
     /// [`AttentionQNet::backward_batch`] for the whole minibatch. The host,
@@ -862,9 +846,51 @@ impl QNetwork for AttentionQNet {
         self.batch_cache = Some(cache);
     }
 
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut params = Vec::new();
+        params.extend(self.embed1.params_mut());
+        params.extend(self.embed2.params_mut());
+        params.extend(self.embed3.params_mut());
+        params.extend(self.attn1.params_mut());
+        params.extend(self.attn2.params_mut());
+        params.extend(self.host_head.params_mut());
+        params.extend(self.server_head.params_mut());
+        params.extend(self.plc_head.params_mut());
+        params.extend(self.noact_head.params_mut());
+        params
+    }
+}
+
+/// What the solo backward needs of its forward beyond the layer caches:
+/// the shape and head routing of the state.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+struct ForwardCache {
+    node_count: usize,
+    plc_count: usize,
+    host_rows: Vec<usize>,
+    server_rows: Vec<usize>,
+}
+
+/// Horizontal concatenation of two row blocks into a pooled matrix: every
+/// output row is `left.row(i) ++ right_row` (with `right` broadcast when
+/// single-row).
+#[cfg(test)]
+fn hcat_broadcast_into(left: &Matrix, right: &Matrix, out: &mut Matrix) {
+    let lc = left.cols();
+    for i in 0..out.rows() {
+        let right_row = if right.rows() == 1 { 0 } else { i };
+        let row = out.row_mut(i);
+        row[..lc].copy_from_slice(left.row(i));
+        row[lc..].copy_from_slice(right.row(right_row));
+    }
+}
+
+#[cfg(test)]
+impl SoloQNetwork for AttentionQNet {
     /// The solo training forward, the oracle of the batched pair: every
     /// layer runs its training forward on one state as a one-item batch,
-    /// each head over all of its rows, feeding [`AttentionQNet::backward`].
+    /// each head over all of its rows, feeding [`SoloQNetwork::backward`].
     fn q_values(&mut self, features: &StateFeatures) -> Vec<f32> {
         let n = features.node_count();
         let p = features.plc_count();
@@ -1045,20 +1071,6 @@ impl QNetwork for AttentionQNet {
 
         self.backward_trunk(grad_ctx);
         self.cache = Some(cache);
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut params = Vec::new();
-        params.extend(self.embed1.params_mut());
-        params.extend(self.embed2.params_mut());
-        params.extend(self.embed3.params_mut());
-        params.extend(self.attn1.params_mut());
-        params.extend(self.attn2.params_mut());
-        params.extend(self.host_head.params_mut());
-        params.extend(self.server_head.params_mut());
-        params.extend(self.plc_head.params_mut());
-        params.extend(self.noact_head.params_mut());
-        params
     }
 }
 

@@ -11,6 +11,8 @@
 
 use crate::actions::ActionSpace;
 use crate::agent::QNetwork;
+#[cfg(test)]
+use crate::agent::SoloQNetwork;
 use crate::features::{StateFeatures, NODE_FEATURE_DIM, PLC_FEATURE_DIM, PLC_SUMMARY_DIM};
 use neural::layers::{Activation, Dense};
 use neural::{Batch, Layer, Matrix, Param, Scratch};
@@ -146,30 +148,9 @@ impl BaselineConvQNet {
 impl QNetwork for BaselineConvQNet {
     /// Batched inference through the layers' `forward_batch` path (see
     /// `q_values_batch_impl`): each state's values are bit-identical to a
-    /// solo [`BaselineConvQNet::q_values`] call and the training cache is
-    /// left untouched.
+    /// one-state batch and the training cache is left untouched.
     fn q_values_batch(&mut self, features: &[&StateFeatures]) -> Vec<Vec<f32>> {
         self.q_values_batch_impl(features, false)
-    }
-
-    /// Cached single-state forward: the training pass on a one-state batch,
-    /// whose cache feeds [`BaselineConvQNet::backward`].
-    fn q_values(&mut self, features: &StateFeatures) -> Vec<f32> {
-        self.q_values_batch_impl(&[features], true)
-            .pop()
-            .expect("a batch of one state yields one Q-vector")
-    }
-
-    fn backward(&mut self, grad_q: &[f32]) {
-        assert_eq!(
-            grad_q.len(),
-            self.action_space.len(),
-            "gradient length mismatch"
-        );
-        let mut grad = self.scratch.take_for_overwrite(1, grad_q.len());
-        grad.row_mut(0).copy_from_slice(grad_q);
-        self.backward_batch(&grad);
-        self.scratch.recycle(grad);
     }
 
     /// The batched training forward: the same chain as
@@ -213,6 +194,29 @@ impl QNetwork for BaselineConvQNet {
         params.extend(self.fc2.params_mut());
         params.extend(self.fc3.params_mut());
         params
+    }
+}
+
+#[cfg(test)]
+impl SoloQNetwork for BaselineConvQNet {
+    /// Cached single-state forward: the training pass on a one-state batch,
+    /// whose cache feeds [`SoloQNetwork::backward`].
+    fn q_values(&mut self, features: &StateFeatures) -> Vec<f32> {
+        self.q_values_batch_impl(&[features], true)
+            .pop()
+            .expect("a batch of one state yields one Q-vector")
+    }
+
+    fn backward(&mut self, grad_q: &[f32]) {
+        assert_eq!(
+            grad_q.len(),
+            self.action_space.len(),
+            "gradient length mismatch"
+        );
+        let mut grad = self.scratch.take_for_overwrite(1, grad_q.len());
+        grad.row_mut(0).copy_from_slice(grad_q);
+        self.backward_batch(&grad);
+        self.scratch.recycle(grad);
     }
 }
 

@@ -8,7 +8,7 @@
 use crate::agent::QNetwork;
 use neural::Matrix;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"ACSOWTS\0";
@@ -111,31 +111,35 @@ pub fn load_weights_from<R: Read>(network: &mut dyn QNetwork, reader: &mut R) ->
     Ok(())
 }
 
-/// Saves a network's weights to a file.
+/// Saves a network's weights to a file through a buffered writer, flushed
+/// before returning so that a failed write is reported.
 ///
 /// # Errors
 ///
 /// Returns any error from creating or writing the file.
 pub fn save_weights<P: AsRef<Path>>(network: &mut dyn QNetwork, path: P) -> io::Result<()> {
-    let mut file = File::create(path)?;
-    save_weights_to(network, &mut file)
+    let mut file = BufWriter::new(File::create(path)?);
+    save_weights_to(network, &mut file)?;
+    file.flush()
 }
 
-/// Loads a network's weights from a file written by [`save_weights`].
+/// Loads a network's weights from a file written by [`save_weights`],
+/// through a buffered reader: the decoder reads only the bytes the
+/// network's shapes ask for, so an oversized file is never read whole.
 ///
 /// # Errors
 ///
 /// Returns any error from opening or parsing the file (see
 /// [`load_weights_from`]).
 pub fn load_weights<P: AsRef<Path>>(network: &mut dyn QNetwork, path: P) -> io::Result<()> {
-    let mut file = File::open(path)?;
+    let mut file = BufReader::new(File::open(path)?);
     load_weights_from(network, &mut file)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::{AttentionQNet, BaselineConvQNet};
+    use crate::agent::{AttentionQNet, BaselineConvQNet, SoloQNetwork};
     use crate::features::{NodeFeatureEncoder, StateFeatures};
     use crate::ActionSpace;
     use dbn::learn::{learn_model, LearnConfig};
@@ -210,6 +214,16 @@ mod tests {
         load_weights(&mut from_file, &path).unwrap();
         assert_eq!(q_original, from_file.q_values(&features));
         let _ = std::fs::remove_file(path);
+    }
+
+    /// A write that fails part-way (here: a device with no space left) is
+    /// reported, not dropped.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_weights_reports_a_failed_write() {
+        let (_, space) = features();
+        let mut net = AttentionQNet::new(space, 1);
+        assert!(save_weights(&mut net, "/dev/full").is_err());
     }
 
     /// Golden header test: the on-disk prefix (magic, version, parameter

@@ -281,7 +281,9 @@ impl NodeFeatureEncoder {
 mod tests {
     use super::*;
     use dbn::learn::{learn_model, LearnConfig};
+    use ics_net::TopologySpec;
     use ics_sim::{DefenderAction, IcsEnvironment, SimConfig};
+    use proptest::prelude::*;
 
     fn fixture() -> (IcsEnvironment, NodeFeatureEncoder, DbnFilter) {
         let sim = SimConfig::tiny().with_max_time(100);
@@ -379,6 +381,93 @@ mod tests {
             encoder.encode_active_into(&step.observation, &filter, &mut scratch, &mut sparse);
             let dense = encoder.encode(&step.observation, &filter);
             assert_eq!(sparse, dense, "sparse encode diverged at t={t}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The sparse world model's feature half, over arbitrary topology
+        /// shapes from tiny up to ~1200 hosts — beyond the 1003-host
+        /// registry scenario, across multi-segment layouts where segment 0
+        /// spills into overflow /24 subnets: active-node feature encoding of
+        /// the sparse environment's observations is bit-identical to the
+        /// dense encode of the same observation and beliefs at every step,
+        /// while the defender churns quarantine and investigation actions
+        /// across the fleet. (ics-sim's test of the same name checks those
+        /// observations against the dense rebuild-everything reference.)
+        #[test]
+        fn sparse_and_dense_world_models_are_bit_identical(
+            l2_workstations in 1usize..901,
+            l1_hmis in 1usize..251,
+            plcs in 1usize..121,
+            l2_segments in 1usize..9,
+            l1_segments in 1usize..9,
+            seed in 0u64..100,
+        ) {
+            use ics_sim::orchestrator::{InvestigationKind, MitigationKind};
+
+            let spec = TopologySpec {
+                l2_workstations,
+                l1_hmis,
+                plcs,
+                l2_segments,
+                l1_segments,
+                host_budget: 1_200,
+                ..TopologySpec::paper_full()
+            };
+            prop_assert!(spec.validate().is_ok(), "generated spec must validate");
+            let sim = SimConfig {
+                topology: spec,
+                ..SimConfig::small()
+            }
+            .with_max_time(40);
+            let model = learn_model(&LearnConfig {
+                episodes: 1,
+                seed: 1,
+                sim: sim.clone().with_max_time(10),
+            });
+
+            let mut env = IcsEnvironment::new(sim.with_seed(seed));
+            let nodes = env.topology().node_count();
+            let mut filter = DbnFilter::new(model, nodes);
+            let encoder = NodeFeatureEncoder::new(env.topology());
+            let mut scratch = EncodeScratch::new();
+            let mut sparse_features = StateFeatures::empty();
+            let _ = env.reset();
+            filter.reset();
+
+            for t in 0..40u64 {
+                // Deterministic action churn touching nodes all over the
+                // fleet: quarantines (VLAN moves), their eventual lifts, and
+                // scans.
+                let mut actions = vec![DefenderAction::NoAction];
+                if t % 5 == 0 {
+                    actions.push(DefenderAction::Mitigate {
+                        kind: MitigationKind::Quarantine,
+                        node: ics_net::NodeId::from_index((t as usize * 7) % nodes),
+                    });
+                }
+                if t % 3 == 0 {
+                    actions.push(DefenderAction::Investigate {
+                        kind: InvestigationKind::SimpleScan,
+                        node: ics_net::NodeId::from_index((t as usize * 11) % nodes),
+                    });
+                }
+                let step = env.step(&actions);
+                filter.update(&step.observation);
+                encoder.encode_active_into(
+                    &step.observation,
+                    &filter,
+                    &mut scratch,
+                    &mut sparse_features,
+                );
+                let dense_features = encoder.encode(&step.observation, &filter);
+                prop_assert_eq!(&sparse_features, &dense_features);
+                if step.done {
+                    break;
+                }
+            }
         }
     }
 

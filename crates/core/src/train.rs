@@ -264,24 +264,31 @@ pub struct TrainedAcso {
     pub report: TrainReport,
 }
 
-/// End-to-end training of the attention-based ACSO: fit the DBN filter from
-/// random-defender episodes, then run the augmented DQN loop.
-pub fn train_attention_acso(config: &TrainConfig) -> TrainedAcso {
-    let learn_config = LearnConfig {
+/// The cold attention ACSO `config` describes, with the DBN model it was
+/// built on: the DBN fit from random-defender episodes, then an untrained
+/// agent for the configured topology.
+fn cold_attention_acso(config: &TrainConfig) -> (AcsoAgent<AttentionQNet>, DbnModel) {
+    let dbn_model = learn_model(&LearnConfig {
         episodes: config.dbn_episodes,
         seed: config.seed,
         sim: config.sim.clone(),
-    };
-    let dbn_model = learn_model(&learn_config);
+    });
     let env = IcsEnvironment::new(config.sim.clone().with_seed(config.seed));
     let action_space = ActionSpace::new(env.topology());
     let network = AttentionQNet::new(action_space, config.seed);
-    let mut agent = AcsoAgent::new(
+    let agent = AcsoAgent::new(
         env.topology(),
         dbn_model.clone(),
         network,
         config.agent.clone(),
     );
+    (agent, dbn_model)
+}
+
+/// End-to-end training of the attention-based ACSO: fit the DBN filter from
+/// random-defender episodes, then run the augmented DQN loop.
+pub fn train_attention_acso(config: &TrainConfig) -> TrainedAcso {
+    let (mut agent, dbn_model) = cold_attention_acso(config);
     let report = train_agent(&mut agent, &config.sim, config.episodes, config.seed);
     TrainedAcso {
         agent,
@@ -305,21 +312,7 @@ pub fn train_attention_acso_checkpointed(
     checkpoint: &CheckpointConfig,
     resume: bool,
 ) -> io::Result<TrainedAcso> {
-    let learn_config = LearnConfig {
-        episodes: config.dbn_episodes,
-        seed: config.seed,
-        sim: config.sim.clone(),
-    };
-    let dbn_model = learn_model(&learn_config);
-    let env = IcsEnvironment::new(config.sim.clone().with_seed(config.seed));
-    let action_space = ActionSpace::new(env.topology());
-    let network = AttentionQNet::new(action_space, config.seed);
-    let mut agent = AcsoAgent::new(
-        env.topology(),
-        dbn_model.clone(),
-        network,
-        config.agent.clone(),
-    );
+    let (mut agent, dbn_model) = cold_attention_acso(config);
     let report = train_agent_checkpointed(
         &mut agent,
         &config.sim,

@@ -93,8 +93,9 @@ pub struct IcsEnvironment {
     /// start of the next hour). May contain duplicates.
     dirty_obs: Vec<usize>,
     /// When set, the observation buffer is rebuilt densely every hour — the
-    /// bit-identical reference the sparse-vs-dense equivalence suite compares
+    /// bit-identical reference the sparse-vs-dense equivalence tests compare
     /// against.
+    #[cfg(test)]
     dense_observation_mode: bool,
 }
 
@@ -171,6 +172,7 @@ impl IcsEnvironment {
             rng,
             obs_buffer: Vec::new(),
             dirty_obs: Vec::new(),
+            #[cfg(test)]
             dense_observation_mode: false,
         };
         env.reset_internal();
@@ -239,7 +241,8 @@ impl IcsEnvironment {
 
     /// Rebuilds the persistent observation buffer with a dense pass: every
     /// node quiet, quarantine flags read from the current state. Runs once
-    /// per reset (and every hour in the dense reference mode).
+    /// per reset (and, in test builds, every hour in the dense reference
+    /// mode).
     fn rebuild_obs_buffer(&mut self) {
         self.dirty_obs.clear();
         self.obs_buffer.clear();
@@ -253,8 +256,9 @@ impl IcsEnvironment {
     /// Switches per-step observation assembly between the sparse dirty-set
     /// path (default) and a dense rebuild-everything-every-hour reference.
     /// The two produce bit-identical observations; the dense path exists so
-    /// the equivalence suite has an independent baseline to compare against.
-    pub fn set_dense_observation_reference(&mut self, dense: bool) {
+    /// the equivalence tests have an independent baseline to compare against.
+    #[cfg(test)]
+    pub(crate) fn set_dense_observation_reference(&mut self, dense: bool) {
         self.dense_observation_mode = dense;
     }
 
@@ -310,21 +314,23 @@ impl IcsEnvironment {
         let prev_potential = self.config.shaping.potential(&self.state);
 
         let mut alerts: Vec<Alert> = Vec::new();
+        // The dense reference starts the hour from a rebuilt buffer, which
+        // leaves no dirty entry for the sparse reset below.
+        #[cfg(test)]
         if self.dense_observation_mode {
             self.rebuild_obs_buffer();
-        } else {
-            // Reset only the entries written last hour; everything else is
-            // already quiet and its quarantine flag is kept current by
-            // `apply_mitigation`.
-            let mut dirty = std::mem::take(&mut self.dirty_obs);
-            dirty.sort_unstable();
-            dirty.dedup();
-            for idx in dirty.drain(..) {
-                let id = NodeId::from_index(idx);
-                self.obs_buffer[idx] = NodeObservation::quiet(id, self.state.is_quarantined(id));
-            }
-            self.dirty_obs = dirty;
         }
+        // Reset only the entries written last hour; everything else is
+        // already quiet and its quarantine flag is kept current by
+        // `apply_mitigation`.
+        let mut dirty = std::mem::take(&mut self.dirty_obs);
+        dirty.sort_unstable();
+        dirty.dedup();
+        for idx in dirty.drain(..) {
+            let id = NodeId::from_index(idx);
+            self.obs_buffer[idx] = NodeObservation::quiet(id, self.state.is_quarantined(id));
+        }
+        self.dirty_obs = dirty;
 
         // 1. Enqueue defender actions.
         for action in actions {
@@ -373,6 +379,7 @@ impl IcsEnvironment {
                 self.dirty_obs.push(node.index());
             }
         }
+        #[cfg(test)]
         if self.dense_observation_mode {
             for (idx, obs) in self.obs_buffer.iter_mut().enumerate() {
                 obs.quarantined = self.state.is_quarantined(NodeId::from_index(idx));
@@ -390,7 +397,7 @@ impl IcsEnvironment {
         let done = self.time >= self.config.reward.max_time;
 
         // The step's dirty set doubles as the observation's active-node list:
-        // it is exactly the set of entries written this hour, in either mode.
+        // it is exactly the set of entries written this hour.
         let mut active_nodes = self.dirty_obs.clone();
         active_nodes.sort_unstable();
         active_nodes.dedup();
@@ -754,6 +761,8 @@ impl IcsEnvironment {
 mod tests {
     use super::*;
     use crate::apt::{AptProfile, AttackObjective, AttackVector};
+    use ics_net::TopologySpec;
+    use proptest::prelude::*;
 
     fn no_defense_config() -> SimConfig {
         SimConfig::small()
@@ -983,6 +992,81 @@ mod tests {
             transcript
         };
         assert_eq!(run(false), run(true));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The sparse world model's equivalence, over arbitrary topology
+        /// shapes from tiny up to ~1200 hosts — beyond the 1003-host
+        /// registry scenario, across multi-segment layouts where segment 0
+        /// spills into overflow /24 subnets: dirty-set observation assembly
+        /// is bit-identical to the dense rebuild-everything reference.
+        /// Observations, rewards and IT cost must match exactly at every
+        /// step while the defender churns quarantine and investigation
+        /// actions across the fleet. (acso-core's test of the same name
+        /// checks the active-node feature encoding on these observations.)
+        #[test]
+        fn sparse_and_dense_world_models_are_bit_identical(
+            l2_workstations in 1usize..901,
+            l1_hmis in 1usize..251,
+            plcs in 1usize..121,
+            l2_segments in 1usize..9,
+            l1_segments in 1usize..9,
+            seed in 0u64..100,
+        ) {
+            let spec = TopologySpec {
+                l2_workstations,
+                l1_hmis,
+                plcs,
+                l2_segments,
+                l1_segments,
+                host_budget: 1_200,
+                ..TopologySpec::paper_full()
+            };
+            prop_assert!(spec.validate().is_ok(), "generated spec must validate");
+            let sim = SimConfig {
+                topology: spec,
+                ..SimConfig::small()
+            }
+            .with_max_time(40);
+
+            let mut sparse_env = IcsEnvironment::new(sim.clone().with_seed(seed));
+            let mut dense_env = IcsEnvironment::new(sim.with_seed(seed));
+            dense_env.set_dense_observation_reference(true);
+            let nodes = sparse_env.topology().node_count();
+
+            let first_sparse = sparse_env.reset();
+            let first_dense = dense_env.reset();
+            prop_assert_eq!(&first_sparse, &first_dense);
+
+            for t in 0..40u64 {
+                // Deterministic action churn touching nodes all over the
+                // fleet: quarantines (VLAN moves), their eventual lifts, and
+                // scans.
+                let mut actions = vec![DefenderAction::NoAction];
+                if t % 5 == 0 {
+                    actions.push(DefenderAction::Mitigate {
+                        kind: MitigationKind::Quarantine,
+                        node: NodeId::from_index((t as usize * 7) % nodes),
+                    });
+                }
+                if t % 3 == 0 {
+                    actions.push(DefenderAction::Investigate {
+                        kind: InvestigationKind::SimpleScan,
+                        node: NodeId::from_index((t as usize * 11) % nodes),
+                    });
+                }
+                let sparse_step = sparse_env.step(&actions);
+                let dense_step = dense_env.step(&actions);
+                prop_assert_eq!(&sparse_step.observation, &dense_step.observation);
+                prop_assert_eq!(sparse_step.reward.to_bits(), dense_step.reward.to_bits());
+                prop_assert_eq!(sparse_step.it_cost.to_bits(), dense_step.it_cost.to_bits());
+                if sparse_step.done {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

@@ -232,8 +232,9 @@ impl NetworkState {
 
     /// Recomputes the compromise counters and indices with a dense scan and
     /// checks them against the incrementally maintained sparse state. Used by
-    /// the sparse-vs-dense equivalence tests; not on any hot path.
-    pub fn sparse_indices_match_dense_scan(&self) -> bool {
+    /// the sparse-vs-dense equivalence tests.
+    #[cfg(test)]
+    pub(crate) fn sparse_indices_match_dense_scan(&self) -> bool {
         let dense_compromised: Vec<usize> = self
             .node_compromise
             .iter()

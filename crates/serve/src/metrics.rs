@@ -4,7 +4,7 @@
 //! The service handles requests on a single thread, so the registry is plain
 //! data behind `&mut self` — no atomics, no locks. Everything the `metrics`
 //! request returns comes from here, and the same numbers drive the
-//! `serve_bench` coalescing assertion (batch-fill ratio) and the engine
+//! coalescing test's assertion (batch-fill ratio) and the engine
 //! utilization gauge.
 
 use crate::json::fmt_num;

@@ -32,6 +32,8 @@ use dbn::learn::{learn_model, LearnConfig};
 use dbn::DbnModel;
 use ics_sim::metrics::{EpisodeMetrics, EvaluationSummary, MeanStdErr};
 use ics_sim::{IcsEnvironment, SimConfig};
+use std::fs::File;
+use std::io::{self, BufReader, Read};
 use std::path::PathBuf;
 
 /// Smallest lane width the daemon autoscales to, and the width the pinned
@@ -135,6 +137,42 @@ impl PolicyStock {
             PolicyStock::Null => Box::new(NullPolicy::new()),
         }
     }
+}
+
+/// Builds an ACSO from saved weights instead of training: the DBN is learned
+/// (cheap), the attention Q-net is constructed for the scenario's topology
+/// and its parameters restored from `weights` — the weights file a
+/// `load_policy` names, or the weight bytes a state snapshot holds.
+fn acso_from_weights(
+    sim: SimConfig,
+    dbn_episodes: usize,
+    seed: u64,
+    weights: &mut impl Read,
+) -> io::Result<TrainedAcso> {
+    let model = learn_model(&LearnConfig {
+        episodes: dbn_episodes,
+        seed,
+        sim: sim.clone(),
+    });
+    let env = IcsEnvironment::new(sim);
+    let space = ActionSpace::new(env.topology());
+    let mut network = AttentionQNet::new(space, seed);
+    weights_io::load_weights_from(&mut network, weights)?;
+    let mut agent = AcsoAgent::new(
+        env.topology(),
+        model.clone(),
+        network,
+        AgentConfig {
+            seed,
+            ..AgentConfig::smoke()
+        },
+    );
+    agent.set_explore(false);
+    Ok(TrainedAcso {
+        agent,
+        dbn_model: model,
+        report: TrainReport::default(),
+    })
 }
 
 /// One versioned policy handle, together with the parameters a state
@@ -606,10 +644,18 @@ impl EvalService {
                         });
                         ctx.trained
                     }
-                    Some(path) => match self.load_acso_weights(&sim, dbn_episodes, seed, &path) {
-                        Ok(trained) => trained,
-                        Err(message) => return self.fail(&request.id, "weights_error", &message),
-                    },
+                    Some(path) => {
+                        let built = File::open(&path).and_then(|file| {
+                            acso_from_weights(sim, dbn_episodes, seed, &mut BufReader::new(file))
+                        });
+                        match built {
+                            Ok(trained) => trained,
+                            Err(e) => {
+                                let message = format!("cannot load weights from `{path}`: {e}");
+                                return self.fail(&request.id, "weights_error", &message);
+                            }
+                        }
+                    }
                 };
                 (PolicyStock::Acso(Box::new(trained)), "ACSO", FORMAT_VERSION)
             }
@@ -665,43 +711,6 @@ impl EvalService {
                 ("scenario", JsonValue::str(scenario)),
             ]),
         )
-    }
-
-    /// Builds an ACSO from saved weights instead of training: the DBN is
-    /// learned (cheap), the attention Q-net is constructed for the
-    /// scenario's topology and its parameters restored from `path`.
-    fn load_acso_weights(
-        &self,
-        sim: &SimConfig,
-        dbn_episodes: usize,
-        seed: u64,
-        path: &str,
-    ) -> Result<TrainedAcso, String> {
-        let model = learn_model(&LearnConfig {
-            episodes: dbn_episodes,
-            seed,
-            sim: sim.clone(),
-        });
-        let env = IcsEnvironment::new(sim.clone());
-        let space = ActionSpace::new(env.topology());
-        let mut network = AttentionQNet::new(space, seed);
-        acso_core::agent::io::load_weights(&mut network, path)
-            .map_err(|e| format!("cannot load weights from `{path}`: {e}"))?;
-        let mut agent = AcsoAgent::new(
-            env.topology(),
-            model.clone(),
-            network,
-            AgentConfig {
-                seed,
-                ..AgentConfig::smoke()
-            },
-        );
-        agent.set_explore(false);
-        Ok(TrainedAcso {
-            agent,
-            dbn_model: model,
-            report: TrainReport::default(),
-        })
     }
 
     fn parse_evaluate(&mut self, slot: usize, request: &Request) -> Result<EvaluateJob, JsonValue> {
@@ -910,31 +919,14 @@ impl EvalService {
                         record.handle
                     ));
                 };
-                let model = learn_model(&LearnConfig {
-                    episodes: record.dbn_episodes as usize,
-                    seed: record.seed,
-                    sim: sim.clone(),
-                });
-                let env = IcsEnvironment::new(sim);
-                let space = ActionSpace::new(env.topology());
-                let mut network = AttentionQNet::new(space, record.seed);
-                weights_io::load_weights_from(&mut network, &mut weights.as_slice())
-                    .map_err(|e| format!("snapshot record `{}`: {e}", record.handle))?;
-                let mut agent = AcsoAgent::new(
-                    env.topology(),
-                    model.clone(),
-                    network,
-                    AgentConfig {
-                        seed: record.seed,
-                        ..AgentConfig::smoke()
-                    },
-                );
-                agent.set_explore(false);
-                PolicyStock::Acso(Box::new(TrainedAcso {
-                    agent,
-                    dbn_model: model,
-                    report: TrainReport::default(),
-                }))
+                let trained = acso_from_weights(
+                    sim,
+                    record.dbn_episodes as usize,
+                    record.seed,
+                    &mut weights.as_slice(),
+                )
+                .map_err(|e| format!("snapshot record `{}`: {e}", record.handle))?;
+                PolicyStock::Acso(Box::new(trained))
             }
             "dbn_expert" => PolicyStock::DbnExpert(learn_model(&LearnConfig {
                 episodes: record.dbn_episodes as usize,

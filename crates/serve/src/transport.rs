@@ -139,7 +139,7 @@ impl Transport for StdioTransport {
 /// An in-process transport backed by channels; the server side.
 ///
 /// Built with [`ChannelTransport::pair`], which also returns the matching
-/// [`ClientEnd`]. Used by the integration tests, `serve_bench` and
+/// [`ClientEnd`]. Used by the integration tests and
 /// `examples/serve_client.rs` to drive the daemon without a subprocess.
 pub struct ChannelTransport {
     incoming: Receiver<String>,

@@ -118,107 +118,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The tentpole equivalence, over arbitrary topology shapes from tiny up
-    /// to ~1200 hosts — beyond the 1003-host registry scenario, across
-    /// multi-segment layouts where segment 0 spills into overflow /24
-    /// subnets: the sparse activity-indexed world model — dirty-set
-    /// observation assembly, active-node feature encoding — is bit-identical
-    /// to the dense rebuild-everything reference. Observations, rewards and
-    /// encoded features must match exactly at every step while the defender
-    /// churns quarantine and investigation actions across the fleet.
-    #[test]
-    fn sparse_and_dense_world_models_are_bit_identical(
-        l2_workstations in 1usize..901,
-        l1_hmis in 1usize..251,
-        plcs in 1usize..121,
-        l2_segments in 1usize..9,
-        l1_segments in 1usize..9,
-        seed in 0u64..100,
-    ) {
-        use acso_core::features::{EncodeScratch, NodeFeatureEncoder, StateFeatures};
-        use ics_sim::orchestrator::{InvestigationKind, MitigationKind};
-        use ics_sim::DefenderAction;
-
-        let spec = TopologySpec {
-            l2_workstations,
-            l1_hmis,
-            plcs,
-            l2_segments,
-            l1_segments,
-            host_budget: 1_200,
-            ..TopologySpec::paper_full()
-        };
-        prop_assert!(spec.validate().is_ok(), "generated spec must validate");
-        let sim = SimConfig {
-            topology: spec,
-            ..SimConfig::small()
-        }
-        .with_max_time(40);
-        let model = learn_model(&LearnConfig {
-            episodes: 1,
-            seed: 1,
-            sim: sim.clone().with_max_time(10),
-        });
-
-        let mut sparse_env = IcsEnvironment::new(sim.clone().with_seed(seed));
-        let mut dense_env = IcsEnvironment::new(sim.with_seed(seed));
-        dense_env.set_dense_observation_reference(true);
-        let nodes = sparse_env.topology().node_count();
-        let mut sparse_filter = DbnFilter::new(model.clone(), nodes);
-        let mut dense_filter = DbnFilter::new(model, nodes);
-        let sparse_encoder = NodeFeatureEncoder::new(sparse_env.topology());
-        let dense_encoder = NodeFeatureEncoder::new(dense_env.topology());
-        let mut scratch = EncodeScratch::new();
-        let mut sparse_features = StateFeatures::empty();
-
-        let first_sparse = sparse_env.reset();
-        let first_dense = dense_env.reset();
-        prop_assert_eq!(&first_sparse, &first_dense);
-        sparse_filter.reset();
-        dense_filter.reset();
-
-        for t in 0..40u64 {
-            // Deterministic action churn touching nodes all over the fleet:
-            // quarantines (VLAN moves), their eventual lifts, and scans.
-            let mut actions = vec![DefenderAction::NoAction];
-            if t % 5 == 0 {
-                actions.push(DefenderAction::Mitigate {
-                    kind: MitigationKind::Quarantine,
-                    node: NodeId::from_index((t as usize * 7) % nodes),
-                });
-            }
-            if t % 3 == 0 {
-                actions.push(DefenderAction::Investigate {
-                    kind: InvestigationKind::SimpleScan,
-                    node: NodeId::from_index((t as usize * 11) % nodes),
-                });
-            }
-            let sparse_step = sparse_env.step(&actions);
-            let dense_step = dense_env.step(&actions);
-            prop_assert_eq!(&sparse_step.observation, &dense_step.observation);
-            prop_assert_eq!(sparse_step.reward.to_bits(), dense_step.reward.to_bits());
-            prop_assert_eq!(sparse_step.it_cost.to_bits(), dense_step.it_cost.to_bits());
-
-            sparse_filter.update(&sparse_step.observation);
-            dense_filter.update(&dense_step.observation);
-            sparse_encoder.encode_active_into(
-                &sparse_step.observation,
-                &sparse_filter,
-                &mut scratch,
-                &mut sparse_features,
-            );
-            let dense_features = dense_encoder.encode(&dense_step.observation, &dense_filter);
-            prop_assert_eq!(&sparse_features, &dense_features);
-            if sparse_step.done {
-                break;
-            }
-        }
-    }
-}
-
 #[test]
 fn topology_paths_always_include_both_endpoints_switches() {
     // Structural sanity across every pair of VLANs in the full topology.
